@@ -15,20 +15,22 @@
 //! paper argues is "well established" and stable enough to trust.
 
 use std::sync::atomic::AtomicBool;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use bcp::{
-    ArenaWatchedPropagator, Attach, BudgetedPropagation, ClauseRef, ClauseStore,
-    Conflict, Fuel, Propagator, PropagatorChoice, Reason, Stopped,
-    WatchedPropagator,
+    ArenaWatchedPropagator, BudgetedPropagation, ClauseRef, ClauseStore, Conflict, Fuel,
+    Propagator, PropagatorChoice, Stopped, WatchedPropagator,
 };
-use cnf::{Clause, CnfFormula, Lit, Var};
+use cnf::{Clause, CnfFormula, Lit};
 
 use crate::core_extract::UnsatCore;
 use crate::error::VerifyError;
-use crate::harness::{Budget, Checkpoint, Harness, Outcome, Progress};
+use crate::harness::{
+    formula_fingerprint, proof_fingerprint, Budget, Checkpoint, Harness, Outcome, Progress,
+};
+use crate::kernel::{Kernel, Lemma, Policy};
 use crate::proof::ConflictClauseProof;
+use crate::rat::DratStats;
 use crate::report::VerificationReport;
 
 /// Which verification procedure to run.
@@ -166,13 +168,12 @@ pub fn verify_implication(
     proof: &ConflictClauseProof,
     target: &Clause,
 ) -> Result<Verification, VerifyError> {
-    Checker::new(formula, proof).run_with_target(CheckMode::MarkedOnly, Some(target))
-}
-
-enum CheckOutcome {
-    Conflict(Conflict),
-    Tautology,
-    NoConflict,
+    unlimited(Checker::new(formula, proof).walk(
+        CheckMode::MarkedOnly,
+        &Harness::default(),
+        None,
+        Some(target),
+    ))
 }
 
 /// What one budgeted worker (a parallel slice or the terminal check)
@@ -197,23 +198,6 @@ pub(crate) enum WorkerOutcome {
     Interrupted(Stopped),
 }
 
-/// Registry handles for the checker's metrics, resolved once and shared
-/// by all checker instances (including parallel workers).
-struct ObsHandles {
-    checks: obs::metrics::Counter,
-    check_ns: obs::metrics::Histogram,
-    marking_passes: obs::metrics::Counter,
-}
-
-fn obs_handles() -> &'static ObsHandles {
-    static HANDLES: OnceLock<ObsHandles> = OnceLock::new();
-    HANDLES.get_or_init(|| ObsHandles {
-        checks: obs::metrics::counter("proofver.checks"),
-        check_ns: obs::metrics::histogram("proofver.check_ns"),
-        marking_passes: obs::metrics::counter("proofver.marking_passes"),
-    })
-}
-
 /// The proof checker, exposed for callers that want to reuse the arena
 /// across modes or inspect intermediate state.
 ///
@@ -221,20 +205,19 @@ fn obs_handles() -> &'static ObsHandles {
 /// by default, or the arena-watched engine via
 /// [`Checker::with_engine`]); every engine produces identical verdicts,
 /// marks, and cores — only the propagation cost differs.
+///
+/// The checks and the marking are the shared backward kernel's. What
+/// is native here is the clause layout: `F` is propagated once into a
+/// persistent root level, and the proof is a stack of clauses behind
+/// an activity horizon that each check moves, instead of a live set
+/// maintained by deletions.
 #[derive(Debug)]
 pub struct Checker<'a, P: Propagator = WatchedPropagator> {
+    formula: &'a CnfFormula,
     proof: &'a ConflictClauseProof,
-    db: P::Store,
-    prop: P,
-    /// Unit clauses by arena index (they cannot be watched; each check
-    /// enqueues the active ones explicitly).
-    units: Vec<(ClauseRef, Lit)>,
-    /// Empty clauses (immediate conflicts whenever active).
-    empties: Vec<ClauseRef>,
-    /// Marked clauses, indexed by arena position.
-    marked: Vec<bool>,
-    /// Scratch: variables touched by the current marking pass.
-    seen: Vec<bool>,
+    kernel: Kernel<P>,
+    /// Unit clauses of `F`, enqueued once at the root level.
+    root_units: Vec<(ClauseRef, Lit)>,
     num_original: usize,
 }
 
@@ -256,42 +239,30 @@ impl<'a, P: Propagator> Checker<'a, P> {
         let num_vars = formula
             .num_vars()
             .max(proof.max_var().map_or(0, |v| v.idx() + 1));
-        let mut db = P::Store::new();
-        let mut prop = P::new(num_vars);
-        let mut units = Vec::new();
-        let mut empties = Vec::new();
+        let mut kernel = Kernel::<P>::new(num_vars, Policy::Rup);
 
-        // Only F is attached here; proof clauses are attached by `run`
-        // *after* the root propagation, so the lazy watch cleanup never
-        // sees a proof clause while it is below the activity horizon it
-        // will later rise above.
-        for clause in formula.iter().chain(proof.iter()) {
-            let learned = db.len() >= formula.num_clauses();
-            let r = db.add_clause(clause.lits(), learned);
-            if learned {
-                match db.clause_len(r) {
-                    0 => empties.push(r),
-                    1 => units.push((r, db.lits(r)[0])),
-                    _ => {}
-                }
-            } else {
-                match prop.attach_clause(&mut db, r) {
-                    Attach::Watched => {}
-                    Attach::Unit(l) => units.push((r, l)),
-                    Attach::Empty => empties.push(r),
-                }
+        // Only F is attached here; proof clauses are attached by the
+        // walk *after* the root propagation, so the lazy watch cleanup
+        // never sees a proof clause while it is below the activity
+        // horizon it will later rise above.
+        for clause in formula.iter() {
+            let r = kernel.add(clause.lits(), false);
+            kernel.attach(r);
+        }
+        let root_units = std::mem::take(&mut kernel.units);
+        for clause in proof.iter() {
+            let r = kernel.add(clause.lits(), true);
+            match clause.len() {
+                0 => kernel.empties.push(r),
+                1 => kernel.units.push((r, clause[0])),
+                _ => {}
             }
         }
-
-        let marked = vec![false; db.len()];
         Checker {
+            formula,
             proof,
-            db,
-            prop,
-            units,
-            empties,
-            marked,
-            seen: vec![false; num_vars],
+            kernel,
+            root_units,
             num_original: formula.num_clauses(),
         }
     }
@@ -302,328 +273,24 @@ impl<'a, P: Propagator> Checker<'a, P> {
     ///
     /// See [`verify`].
     pub fn run(self, mode: CheckMode) -> Result<Verification, VerifyError> {
-        self.run_with_target(mode, None)
+        unlimited(self.walk(mode, &Harness::default(), None, None))
     }
 
-    /// Like [`Checker::run`], but instead of requiring the proof to
-    /// derive a root conflict (the empty clause), requires it to derive
-    /// `target`: the final check assumes `¬target` and must conflict.
-    /// With `target = None` this is ordinary refutation checking.
+    /// The verification walk: budgeted, cancellable and resumable.
     ///
-    /// # Errors
+    /// Without a `target` the proof must refute the formula; with one,
+    /// the terminal check assumes `¬target` over `F ∪ F*` instead.
     ///
-    /// See [`verify`]; [`VerifyError::NotARefutation`] here means the
-    /// target clause is not derivable by BCP from `F ∪ F*`.
-    pub fn run_with_target(
-        mut self,
-        mode: CheckMode,
-        target: Option<&Clause>,
-    ) -> Result<Verification, VerifyError> {
-        let start = Instant::now();
-        let mut num_checked = 0usize;
-        // the target may mention variables beyond the formula's universe
-        if let Some(v) = target.and_then(Clause::max_var) {
-            self.prop.ensure_vars(v.idx() + 1);
-            if self.seen.len() <= v.idx() {
-                self.seen.resize(v.idx() + 1, false);
-            }
-        }
-        let target_assumptions: Vec<Lit> = target
-            .map(|c| c.lits().iter().map(|&l| !l).collect())
-            .unwrap_or_default();
-
-        // Root level: the original formula is active in *every* check,
-        // so its units and their propagation cascade are established
-        // once, at decision level 0, and survive between checks — each
-        // check then only pays for the assumptions and the conflict
-        // clauses' contribution.
-        if let Some(conflict) = self.propagate_root() {
-            // F conflicts by unit propagation alone: every check would
-            // conflict on this same cone, so nothing else needs testing.
-            self.mark_from_conflict(conflict);
-            return Ok(self.finish(0, start));
-        }
-
-        // The terminal check: BCP over F ∪ F* under the negated target
-        // (no assumptions for a refutation) must conflict. This subsumes
-        // the paper's "mark the final conflicting pair" initialisation:
-        // the clauses responsible for the conflict become the initial
-        // marks. If a refutation proof ends with an explicit empty
-        // clause, this is exactly its check.
-        let terminal_limit = match self.proof.clauses().last() {
-            Some(c) if c.is_empty() && target.is_none() => {
-                self.num_original + self.proof.len() - 1
-            }
-            _ => self.num_original + self.proof.len(),
-        };
-
-        // Backward checking shrinks the active horizon monotonically, so
-        // all proof clauses can be watched up front (lazy cleanup sheds
-        // them as they are popped). Forward checking grows the horizon,
-        // which lazy cleanup cannot tolerate — each clause is attached
-        // only after its own check instead.
-        let forward = mode == CheckMode::AllForward;
-        if !forward {
-            for step in 0..self.proof.len() {
-                let r = ClauseRef::from_index(self.num_original + step);
-                self.attach_proof_clause(r);
-            }
-            match self.timed_check(&target_assumptions, terminal_limit) {
-                CheckOutcome::Conflict(conflict) => self.mark_from_conflict(conflict),
-                CheckOutcome::Tautology => {} // tautological target: trivially implied
-                CheckOutcome::NoConflict => return Err(VerifyError::NotARefutation),
-            }
-        }
-
-        // Pop F* in reverse chronological order (or walk it forward —
-        // §3: for all-clause checking the order does not matter).
-        let order: Vec<usize> = if forward {
-            (0..self.proof.len()).collect()
-        } else {
-            (0..self.proof.len()).rev().collect()
-        };
-        for step in order {
-            let arena_index = self.num_original + step;
-            let clause = &self.proof.clauses()[step];
-            let skip = if clause.is_empty() && arena_index == terminal_limit {
-                // the terminal check covers exactly this clause's check
-                true
-            } else {
-                // redundant conflict clauses are skipped in marked mode (§4)
-                mode == CheckMode::MarkedOnly && !self.marked[arena_index]
-            };
-            if !skip {
-                num_checked += 1;
-                // An empty clause mid-proof has the empty falsifying
-                // assignment: BCP over the *preceding* clauses alone must
-                // already conflict.
-                let assumptions: Vec<Lit> = clause.lits().iter().map(|&l| !l).collect();
-                match self.timed_check(&assumptions, arena_index) {
-                    CheckOutcome::Conflict(conflict) => self.mark_from_conflict(conflict),
-                    // A tautological conflict clause is trivially implied;
-                    // no clause of F or F* was needed, nothing new marked.
-                    CheckOutcome::Tautology => {}
-                    CheckOutcome::NoConflict => {
-                        return Err(VerifyError::NotImplied {
-                            step,
-                            clause: clause.clone(),
-                        })
-                    }
-                }
-            }
-            if forward {
-                let r = ClauseRef::from_index(arena_index);
-                self.attach_proof_clause(r);
-            }
-        }
-
-        if forward {
-            match self.timed_check(&target_assumptions, terminal_limit) {
-                CheckOutcome::Conflict(conflict) => self.mark_from_conflict(conflict),
-                CheckOutcome::Tautology => {} // tautological target
-                CheckOutcome::NoConflict => return Err(VerifyError::NotARefutation),
-            }
-        }
-
-        Ok(self.finish(num_checked, start))
-    }
-
-    fn finish(&mut self, num_checked: usize, start: Instant) -> Verification {
-        let elapsed = start.elapsed();
-        let core_indices: Vec<usize> =
-            (0..self.num_original).filter(|&i| self.marked[i]).collect();
-        let core = UnsatCore::new(core_indices, self.num_original);
-        let marked_steps: Vec<bool> = (0..self.proof.len())
-            .map(|i| self.marked[self.num_original + i])
-            .collect();
-
-        let report = VerificationReport {
-            num_original: self.num_original,
-            num_conflict_clauses: self.proof.len(),
-            num_checked,
-            proof_literals: self.proof.num_literals(),
-            core_size: core.len(),
-            verify_time: elapsed,
-            propagations: self.prop.trail().len() as u64, // final trail only
-            clause_visits: self.prop.num_clause_visits(),
-        };
-        Verification { report, core, marked_steps }
-    }
-
-    /// Establishes the permanent root level: the units of the original
-    /// formula and everything they propagate through `F` alone. Returns
-    /// a conflict if `F` refutes itself by propagation (including an
-    /// empty clause in `F`).
-    fn propagate_root(&mut self) -> Option<Conflict> {
-        let _span = obs::span!("proofver.root_propagate");
-        self.db.set_active_limit(Some(self.num_original));
-        if let Some(&r) = self.empties.iter().find(|r| r.index() < self.num_original) {
-            return Some(Conflict { clause: r });
-        }
-        for i in 0..self.units.len() {
-            let (r, l) = self.units[i];
-            if r.index() >= self.num_original {
-                continue;
-            }
-            if let Err(conflict) = self.prop.enqueue_propagated(l, r) {
-                return Some(conflict);
-            }
-        }
-        self.prop.propagate(&mut self.db)
-    }
-
-    /// Attaches one proof clause *after* the persistent root level is in
-    /// place. Watched literals must be non-false, so the literals are
-    /// reordered; a clause that is unit under the root assignments joins
-    /// the per-check unit list (it may NOT extend the root trail — that
-    /// would leak its consequence into checks of earlier clauses), and a
-    /// clause falsified outright by root assignments acts like an empty
-    /// clause for every check that has it active.
-    fn attach_proof_clause(&mut self, r: ClauseRef) {
-        if self.db.clause_len(r) < 2 {
-            return; // units/empties were collected at construction
-        }
-        // classification must see only the persistent root assignments,
-        // not a preceding check's assumptions
-        self.prop.backtrack_to(0);
-        let assignment = self.prop.assignment();
-        let lits = self.db.lits_mut(r);
-        lits.sort_by_key(|&l| assignment.lit_value(l) == cnf::LBool::False);
-        let non_false = lits
-            .iter()
-            .filter(|&&l| assignment.lit_value(l) != cnf::LBool::False)
-            .count();
-        let first = lits[0];
-        match non_false {
-            0 => self.empties.push(r),
-            1 => {
-                self.prop.attach_clause(&mut self.db, r);
-                self.units.push((r, first));
-            }
-            _ => {
-                self.prop.attach_clause(&mut self.db, r);
-            }
-        }
-    }
-
-    /// [`Checker::bcp_under_assumptions`] with per-check telemetry:
-    /// counts the check and records its duration when metric recording
-    /// is on.
-    fn timed_check(&mut self, assumptions: &[Lit], limit: usize) -> CheckOutcome {
-        if !obs::metrics::recording() {
-            return self.bcp_under_assumptions(assumptions, limit);
-        }
-        let handles = obs_handles();
-        let start = Instant::now();
-        let outcome = self.bcp_under_assumptions(assumptions, limit);
-        handles.checks.inc();
-        handles.check_ns.record(start.elapsed().as_nanos() as u64);
-        outcome
-    }
-
-    /// One verification check: assume the given literals, enqueue the
-    /// active unit clauses of `F*`, and propagate over the clauses with
-    /// arena index `< limit`. `F`'s contribution persists at the root
-    /// level from [`Checker::propagate_root`].
-    fn bcp_under_assumptions(&mut self, assumptions: &[Lit], limit: usize) -> CheckOutcome {
-        self.db.set_active_limit(Some(limit));
-        // An active empty clause conflicts before any propagation.
-        // (Empty clauses of F were handled by the root propagation.)
-        if let Some(&r) = self.empties.iter().find(|r| r.index() < limit) {
-            return CheckOutcome::Conflict(Conflict { clause: r });
-        }
-        self.prop.backtrack_to(0);
-        self.prop.push_level();
-        for &l in assumptions {
-            if !self.prop.assume(l) {
-                // ¬l is already true: either by an earlier assumption of
-                // this very check — the clause under test is a tautology,
-                // trivially implied with no clause involved — or by the
-                // persistent root propagation of F, in which case the
-                // falsifying assignment conflicts with ¬l's reason clause.
-                return match self.prop.reason(l.var()) {
-                    Reason::Propagated(r) => {
-                        CheckOutcome::Conflict(Conflict { clause: r })
-                    }
-                    _ => CheckOutcome::Tautology,
-                };
-            }
-        }
-        for i in 0..self.units.len() {
-            let (r, l) = self.units[i];
-            if r.index() < self.num_original || r.index() >= limit || self.db.is_deleted(r)
-            {
-                continue;
-            }
-            if let Err(conflict) = self.prop.enqueue_propagated(l, r) {
-                return CheckOutcome::Conflict(conflict);
-            }
-        }
-        match self.prop.propagate(&mut self.db) {
-            Some(conflict) => CheckOutcome::Conflict(conflict),
-            None => CheckOutcome::NoConflict,
-        }
-    }
-
-    /// The paper's `Conflict_analysis` (§4): mark every clause of `F`
-    /// and `F*` responsible for the conflict just found, by walking the
-    /// deduced assignments in reverse order from the conflicting pair.
-    fn mark_from_conflict(&mut self, conflict: Conflict) {
-        let _span = obs::span!("proofver.mark");
-        if obs::metrics::recording() {
-            obs_handles().marking_passes.inc();
-        }
-        self.marked[conflict.clause.index()] = true;
-        let mut touched: Vec<Var> = Vec::new();
-        for &q in self.db.lits(conflict.clause) {
-            if !self.seen[q.var().idx()] {
-                self.seen[q.var().idx()] = true;
-                touched.push(q.var());
-            }
-        }
-        for idx in (0..self.prop.trail().len()).rev() {
-            let lit = self.prop.trail()[idx];
-            if !self.seen[lit.var().idx()] {
-                continue;
-            }
-            match self.prop.reason(lit.var()) {
-                // assumption literals belong to the clause under test
-                Reason::Assumed | Reason::Decision => {}
-                Reason::Propagated(c) => {
-                    self.marked[c.index()] = true;
-                    for &q in self.db.lits(c) {
-                        if q != lit && !self.seen[q.var().idx()] {
-                            self.seen[q.var().idx()] = true;
-                            touched.push(q.var());
-                        }
-                    }
-                }
-            }
-        }
-        for v in touched {
-            self.seen[v.idx()] = false;
-        }
-    }
-}
-
-/// The harnessed (budgeted, cancellable, resumable) verification loop.
-///
-/// Structure mirrors [`Checker::run_with_target`] — refutation targets
-/// only — but every propagation runs on metered [`Fuel`], checks happen
-/// at interruptible boundaries, and an interruption yields a
-/// [`Checkpoint`] instead of discarding the work done so far.
-///
-/// Checkpoint discipline: marks and `num_checked` are updated only when
-/// a check *completes*; an interrupted check leaves no trace and is
-/// redone on resume. Checkpoints therefore always describe a state the
-/// uninterrupted run also passes through.
-impl<'a, P: Propagator> Checker<'a, P> {
-    pub(crate) fn run_harnessed(
+    /// Checkpoint discipline: marks and `num_checked` are updated only
+    /// when a check *completes*; an interrupted check leaves no trace
+    /// and is redone on resume. Checkpoints therefore always describe a
+    /// state the uninterrupted run also passes through.
+    pub(crate) fn walk(
         mut self,
         mode: CheckMode,
         harness: &Harness,
         resume: Option<&Checkpoint>,
-        fingerprints: (u64, u64),
+        target: Option<&Clause>,
     ) -> Outcome {
         let start = Instant::now();
         let steps_total = self.proof.len();
@@ -631,7 +298,7 @@ impl<'a, P: Propagator> Checker<'a, P> {
 
         // The arena is fully allocated by `Checker::new`, so the memory
         // cap is decidable up front.
-        if self.arena_bytes() > budget.max_arena_bytes {
+        if self.kernel.arena_bytes() > budget.max_arena_bytes {
             return Outcome::Exhausted {
                 reason: crate::harness::ExhaustReason::Memory,
                 progress: Progress {
@@ -657,36 +324,51 @@ impl<'a, P: Propagator> Checker<'a, P> {
         let mut terminal_done = resume.is_some_and(|c| c.terminal_done);
         let start_pos = resume.map_or(0, |c| c.next_pos);
         if let Some(ckpt) = resume {
-            debug_assert_eq!(ckpt.marks.len(), self.marked.len());
-            self.marked.copy_from_slice(&ckpt.marks);
+            debug_assert_eq!(ckpt.marks.len(), self.kernel.marked.len());
+            self.kernel.marked.copy_from_slice(&ckpt.marks);
         }
+        // the target may mention variables beyond the formula's universe
+        if let Some(v) = target.and_then(Clause::max_var) {
+            self.kernel.ensure_vars(v.idx() + 1);
+        }
+        let target = target.map_or(&[][..], Clause::lits);
 
         // Root propagation runs on every (re)start — it reconstructs the
         // persistent level-0 state and is charged against the budget like
-        // any other work.
-        match self.propagate_root_budgeted(&mut fuel) {
+        // any other work. If F conflicts by unit propagation alone, every
+        // check would conflict on this same cone: nothing else needs
+        // testing.
+        match self.propagate_root(&mut fuel) {
             Ok(None) => {}
             Ok(Some(conflict)) => {
-                self.mark_from_conflict(conflict);
-                return Outcome::Verified(self.finish(num_checked, start));
+                self.kernel.mark_cone(conflict, None);
+                return Outcome::Verified(self.finish(num_checked, start, &fuel));
             }
             Err(stopped) => {
-                return self.exhausted_outcome(
+                return self.exhausted(
                     stopped,
                     mode,
                     terminal_done,
                     start_pos,
                     num_checked,
                     &fuel,
-                    fingerprints,
                 );
             }
         }
 
-        let terminal_limit = match self.proof.clauses().last() {
-            Some(c) if c.is_empty() => self.num_original + steps_total - 1,
-            _ => self.num_original + steps_total,
-        };
+        // The terminal check: BCP over F ∪ F* under the negated target
+        // (no assumptions for a refutation) must conflict. This subsumes
+        // the paper's "mark the final conflicting pair" initialisation:
+        // the clauses responsible for the conflict become the initial
+        // marks. If a refutation proof ends with an explicit empty
+        // clause, this is exactly its check.
+        let terminal_limit = self.terminal_limit(target.is_empty());
+        // Backward checking shrinks the active horizon monotonically, so
+        // all proof clauses can be watched up front (lazy cleanup sheds
+        // them as they are popped). Forward checking grows the horizon,
+        // which lazy cleanup cannot tolerate — each clause is attached
+        // only after its own check instead. (§3: for all-clause checking
+        // the order does not matter.)
         let forward = mode == CheckMode::AllForward;
         let order: Vec<usize> = if forward {
             (0..steps_total).collect()
@@ -695,32 +377,24 @@ impl<'a, P: Propagator> Checker<'a, P> {
         };
 
         if !forward {
-            for step in 0..steps_total {
-                let r = ClauseRef::from_index(self.num_original + step);
-                self.attach_proof_clause(r);
-            }
+            self.attach_proof();
             if !terminal_done {
-                match self.timed_check_budgeted(&[], terminal_limit, &mut fuel)
-                {
-                    Ok(CheckOutcome::Conflict(c)) => self.mark_from_conflict(c),
-                    Ok(CheckOutcome::Tautology) => {
-                        unreachable!("no assumptions, no clash")
-                    }
-                    Ok(CheckOutcome::NoConflict) => {
+                match self.check_at(target, terminal_limit, &mut fuel) {
+                    Lemma::Implied => {}
+                    Lemma::NotImplied => {
                         return Outcome::Rejected {
                             step: None,
                             error: VerifyError::NotARefutation,
                         }
                     }
-                    Err(stopped) => {
-                        return self.exhausted_outcome(
+                    Lemma::Interrupted(stopped) => {
+                        return self.exhausted(
                             stopped,
                             mode,
                             false,
                             start_pos,
                             num_checked,
                             &fuel,
-                            fingerprints,
                         )
                     }
                 }
@@ -730,8 +404,7 @@ impl<'a, P: Propagator> Checker<'a, P> {
             // Reconstruct forward-mode state: clauses visited before the
             // checkpoint are attached (their checks are already done).
             for &step in &order[..start_pos] {
-                let r = ClauseRef::from_index(self.num_original + step);
-                self.attach_proof_clause(r);
+                self.attach_proof_clause(ClauseRef::from_index(self.num_original + step));
             }
         }
 
@@ -742,22 +415,16 @@ impl<'a, P: Propagator> Checker<'a, P> {
                 // the terminal check covers exactly this clause's check
                 true
             } else {
-                mode == CheckMode::MarkedOnly && !self.marked[arena_index]
+                // redundant conflict clauses are skipped in marked mode (§4)
+                mode == CheckMode::MarkedOnly && !self.kernel.marked[arena_index]
             };
             if !skip {
-                let assumptions: Vec<Lit> =
-                    clause.lits().iter().map(|&l| !l).collect();
-                match self.timed_check_budgeted(
-                    &assumptions,
-                    arena_index,
-                    &mut fuel,
-                ) {
-                    Ok(CheckOutcome::Conflict(conflict)) => {
-                        num_checked += 1;
-                        self.mark_from_conflict(conflict);
-                    }
-                    Ok(CheckOutcome::Tautology) => num_checked += 1,
-                    Ok(CheckOutcome::NoConflict) => {
+                // An empty clause mid-proof has the empty falsifying
+                // assignment: BCP over the *preceding* clauses alone must
+                // already conflict.
+                match self.check_at(clause.lits(), arena_index, &mut fuel) {
+                    Lemma::Implied => num_checked += 1,
+                    Lemma::NotImplied => {
                         return Outcome::Rejected {
                             step: Some(step),
                             error: VerifyError::NotImplied {
@@ -766,170 +433,223 @@ impl<'a, P: Propagator> Checker<'a, P> {
                             },
                         }
                     }
-                    Err(stopped) => {
-                        return self.exhausted_outcome(
+                    Lemma::Interrupted(stopped) => {
+                        return self.exhausted(
                             stopped,
                             mode,
                             terminal_done,
                             pos,
                             num_checked,
                             &fuel,
-                            fingerprints,
                         )
                     }
                 }
             }
             if forward {
-                let r = ClauseRef::from_index(arena_index);
-                self.attach_proof_clause(r);
+                self.attach_proof_clause(ClauseRef::from_index(arena_index));
             }
         }
 
         if forward && !terminal_done {
-            match self.timed_check_budgeted(&[], terminal_limit, &mut fuel) {
-                Ok(CheckOutcome::Conflict(c)) => self.mark_from_conflict(c),
-                Ok(CheckOutcome::Tautology) => {}
-                Ok(CheckOutcome::NoConflict) => {
+            match self.check_at(target, terminal_limit, &mut fuel) {
+                Lemma::Implied => {}
+                Lemma::NotImplied => {
                     return Outcome::Rejected {
                         step: None,
                         error: VerifyError::NotARefutation,
                     }
                 }
-                Err(stopped) => {
-                    return self.exhausted_outcome(
+                Lemma::Interrupted(stopped) => {
+                    return self.exhausted(
                         stopped,
                         mode,
                         false,
                         order.len(),
                         num_checked,
                         &fuel,
-                        fingerprints,
                     )
                 }
             }
         }
 
-        Outcome::Verified(self.finish(num_checked, start))
+        Outcome::Verified(self.finish(num_checked, start, &fuel))
     }
 
     /// Checks the given steps under a private per-worker budget, with a
-    /// shared deadline and cancellation flag. The parallel checker's
-    /// worker body: panics (if any) are caught by the caller.
-    pub(crate) fn check_steps_budgeted(
+    /// shared deadline and cancellation flag; with `terminal`, the
+    /// refutation check runs first. The parallel checker's worker body:
+    /// panics (if any) are caught by the caller.
+    pub(crate) fn check_slice(
         mut self,
         mut steps: Vec<usize>,
+        terminal: bool,
         budget: &Budget,
         cancel: &AtomicBool,
         deadline: Option<Instant>,
         starved: bool,
     ) -> WorkerOutcome {
-        let mut fuel = worker_fuel(budget, cancel, deadline, starved);
-        match self.propagate_root_budgeted(&mut fuel) {
+        let mut fuel = Fuel {
+            used_propagations: 0,
+            used_clause_visits: 0,
+            max_propagations: if starved { 0 } else { budget.max_propagations },
+            max_clause_visits: if starved { 0 } else { budget.max_clause_visits },
+            deadline,
+            cancel: Some(cancel),
+        };
+        let done = |checker: Self, checked: usize, fuel: &Fuel<'_>| WorkerOutcome::Done {
+            marks: checker.kernel.marked,
+            checked,
+            propagations: fuel.used_propagations,
+            clause_visits: fuel.used_clause_visits,
+        };
+        match self.propagate_root(&mut fuel) {
             Ok(None) => {}
             Ok(Some(conflict)) => {
-                self.mark_from_conflict(conflict);
-                return WorkerOutcome::Done {
-                    marks: self.marked,
-                    checked: 0,
-                    propagations: fuel.used_propagations,
-                    clause_visits: fuel.used_clause_visits,
-                };
+                self.kernel.mark_cone(conflict, None);
+                return done(self, 0, &fuel);
             }
             Err(stopped) => return WorkerOutcome::Interrupted(stopped),
         }
-        for step in 0..self.proof.len() {
-            let r = ClauseRef::from_index(self.num_original + step);
-            self.attach_proof_clause(r);
+        self.attach_proof();
+        if terminal {
+            match self.check_at(&[], self.terminal_limit(true), &mut fuel) {
+                Lemma::Implied => {}
+                Lemma::NotImplied => return WorkerOutcome::Failed(VerifyError::NotARefutation),
+                Lemma::Interrupted(stopped) => return WorkerOutcome::Interrupted(stopped),
+            }
         }
         steps.sort_unstable_by(|a, b| b.cmp(a));
-        let mut num_checked = 0usize;
+        let mut checked = 0usize;
         for step in steps {
             let clause = &self.proof.clauses()[step];
-            let arena_index = self.num_original + step;
-            let assumptions: Vec<Lit> =
-                clause.lits().iter().map(|&l| !l).collect();
-            match self.timed_check_budgeted(&assumptions, arena_index, &mut fuel)
-            {
-                Ok(CheckOutcome::Conflict(conflict)) => {
-                    num_checked += 1;
-                    self.mark_from_conflict(conflict);
-                }
-                Ok(CheckOutcome::Tautology) => num_checked += 1,
-                Ok(CheckOutcome::NoConflict) => {
+            match self.check_at(clause.lits(), self.num_original + step, &mut fuel) {
+                Lemma::Implied => checked += 1,
+                Lemma::NotImplied => {
                     return WorkerOutcome::Failed(VerifyError::NotImplied {
                         step,
                         clause: clause.clone(),
                     })
                 }
-                Err(stopped) => return WorkerOutcome::Interrupted(stopped),
+                Lemma::Interrupted(stopped) => return WorkerOutcome::Interrupted(stopped),
             }
         }
-        WorkerOutcome::Done {
-            marks: self.marked,
-            checked: num_checked,
-            propagations: fuel.used_propagations,
-            clause_visits: fuel.used_clause_visits,
-        }
-    }
-
-    /// Budgeted version of [`Checker::check_terminal`] for the harnessed
-    /// parallel checker.
-    pub(crate) fn check_terminal_budgeted(
-        mut self,
-        budget: &Budget,
-        cancel: &AtomicBool,
-        deadline: Option<Instant>,
-    ) -> WorkerOutcome {
-        let mut fuel = worker_fuel(budget, cancel, deadline, false);
-        match self.propagate_root_budgeted(&mut fuel) {
-            Ok(None) => {}
-            Ok(Some(conflict)) => {
-                self.mark_from_conflict(conflict);
-                return WorkerOutcome::Done {
-                    marks: self.marked,
-                    checked: 0,
-                    propagations: fuel.used_propagations,
-                    clause_visits: fuel.used_clause_visits,
-                };
-            }
-            Err(stopped) => return WorkerOutcome::Interrupted(stopped),
-        }
-        let terminal_limit = match self.proof.clauses().last() {
-            Some(c) if c.is_empty() => self.num_original + self.proof.len() - 1,
-            _ => self.num_original + self.proof.len(),
-        };
-        for step in 0..self.proof.len() {
-            let r = ClauseRef::from_index(self.num_original + step);
-            self.attach_proof_clause(r);
-        }
-        match self.timed_check_budgeted(&[], terminal_limit, &mut fuel) {
-            Ok(CheckOutcome::Conflict(conflict)) => {
-                self.mark_from_conflict(conflict);
-                WorkerOutcome::Done {
-                    marks: self.marked,
-                    checked: 0,
-                    propagations: fuel.used_propagations,
-                    clause_visits: fuel.used_clause_visits,
-                }
-            }
-            Ok(CheckOutcome::Tautology) => {
-                unreachable!("no assumptions, no clash")
-            }
-            Ok(CheckOutcome::NoConflict) => {
-                WorkerOutcome::Failed(VerifyError::NotARefutation)
-            }
-            Err(stopped) => WorkerOutcome::Interrupted(stopped),
-        }
+        done(self, checked, &fuel)
     }
 
     /// Size of the clause arena in bytes — what one engine copy costs,
     /// the unit of the [`Budget::max_arena_bytes`] cap.
     pub(crate) fn arena_bytes(&self) -> u64 {
-        (self.db.arena_len() * std::mem::size_of::<Lit>()) as u64
+        self.kernel.arena_bytes()
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn exhausted_outcome(
+    /// Store index of the first clause the terminal check must not see:
+    /// a refutation's trailing empty clause is the claim being checked.
+    fn terminal_limit(&self, refutation: bool) -> usize {
+        match self.proof.clauses().last() {
+            Some(c) if c.is_empty() && refutation => self.num_original + self.proof.len() - 1,
+            _ => self.num_original + self.proof.len(),
+        }
+    }
+
+    /// One native check: the clauses below `horizon` must imply
+    /// `clause`. A check never starts on drained fuel, so a checkpoint
+    /// lands between checks.
+    fn check_at(&mut self, clause: &[Lit], horizon: usize, fuel: &mut Fuel<'_>) -> Lemma {
+        if let Some(stopped) = fuel.stop() {
+            return Lemma::Interrupted(stopped);
+        }
+        self.kernel.set_horizon(horizon);
+        self.kernel
+            .check_lemma(clause, fuel, &mut DratStats::default(), None)
+    }
+
+    /// Establishes the permanent root level: the units of the original
+    /// formula and everything they propagate through `F` alone. Returns
+    /// a conflict if `F` refutes itself by propagation (including an
+    /// empty clause in `F`).
+    fn propagate_root(&mut self, fuel: &mut Fuel<'_>) -> Result<Option<Conflict>, Stopped> {
+        let _span = obs::span!("proofver.root_propagate");
+        if let Some(stopped) = fuel.stop() {
+            return Err(stopped);
+        }
+        self.kernel.set_horizon(self.num_original);
+        let kernel = &mut self.kernel;
+        if let Some(&r) = kernel.empties.iter().find(|r| r.index() < self.num_original) {
+            return Ok(Some(Conflict { clause: r }));
+        }
+        for &(r, l) in &self.root_units {
+            if let Err(conflict) = kernel.prop.enqueue_propagated(l, r) {
+                return Ok(Some(conflict));
+            }
+        }
+        match kernel.prop.propagate_budgeted(&mut kernel.db, fuel) {
+            BudgetedPropagation::Conflict(c) => Ok(Some(c)),
+            BudgetedPropagation::Fixpoint => Ok(None),
+            BudgetedPropagation::Interrupted(stopped) => Err(stopped),
+        }
+    }
+
+    fn attach_proof(&mut self) {
+        for step in 0..self.proof.len() {
+            self.attach_proof_clause(ClauseRef::from_index(self.num_original + step));
+        }
+    }
+
+    /// Attaches one proof clause *after* the persistent root level is in
+    /// place. Watched literals must be non-false, so the literals are
+    /// reordered; a clause that is unit under the root assignments joins
+    /// the per-check unit list (it may NOT extend the root trail — that
+    /// would leak its consequence into checks of earlier clauses), and a
+    /// clause falsified outright by root assignments acts like an empty
+    /// clause for every check that has it active.
+    fn attach_proof_clause(&mut self, r: ClauseRef) {
+        let kernel = &mut self.kernel;
+        if kernel.db.clause_len(r) < 2 {
+            return; // units/empties were collected at construction
+        }
+        // classification must see only the persistent root assignments,
+        // not a preceding check's assumptions
+        kernel.prop.backtrack_to(0);
+        let assignment = kernel.prop.assignment();
+        let lits = kernel.db.lits_mut(r);
+        lits.sort_by_key(|&l| assignment.lit_value(l) == cnf::LBool::False);
+        let non_false = lits
+            .iter()
+            .filter(|&&l| assignment.lit_value(l) != cnf::LBool::False)
+            .count();
+        let first = lits[0];
+        match non_false {
+            0 => kernel.empties.push(r),
+            1 => {
+                kernel.prop.attach_clause(&mut kernel.db, r);
+                kernel.units.push((r, first));
+            }
+            _ => {
+                kernel.prop.attach_clause(&mut kernel.db, r);
+            }
+        }
+    }
+
+    fn finish(&self, num_checked: usize, start: Instant, fuel: &Fuel<'_>) -> Verification {
+        let marked = &self.kernel.marked;
+        let core_indices: Vec<usize> =
+            (0..self.num_original).filter(|&i| marked[i]).collect();
+        let core = UnsatCore::new(core_indices, self.num_original);
+        let marked_steps = marked[self.num_original..].to_vec();
+        let report = VerificationReport {
+            num_original: self.num_original,
+            num_conflict_clauses: self.proof.len(),
+            num_checked,
+            proof_literals: self.proof.num_literals(),
+            core_size: core.len(),
+            verify_time: start.elapsed(),
+            propagations: fuel.used_propagations,
+            clause_visits: fuel.used_clause_visits,
+        };
+        Verification { report, core, marked_steps }
+    }
+
+    fn exhausted(
         &self,
         stopped: Stopped,
         mode: CheckMode,
@@ -937,7 +657,6 @@ impl<'a, P: Propagator> Checker<'a, P> {
         next_pos: usize,
         num_checked: usize,
         fuel: &Fuel<'_>,
-        fingerprints: (u64, u64),
     ) -> Outcome {
         Outcome::Exhausted {
             reason: stopped.into(),
@@ -949,138 +668,28 @@ impl<'a, P: Propagator> Checker<'a, P> {
             },
             checkpoint: Some(Box::new(Checkpoint {
                 mode,
-                formula_hash: fingerprints.0,
+                formula_hash: formula_fingerprint(self.formula),
                 formula_clauses: self.num_original,
-                proof_hash: fingerprints.1,
+                proof_hash: proof_fingerprint(self.proof),
                 proof_clauses: self.proof.len(),
                 terminal_done,
                 next_pos,
                 num_checked,
                 spent_propagations: fuel.used_propagations,
                 spent_clause_visits: fuel.used_clause_visits,
-                marks: self.marked.clone(),
+                marks: self.kernel.marked.clone(),
             })),
-        }
-    }
-
-    /// [`Checker::bcp_under_assumptions_budgeted`] with the same
-    /// telemetry as [`Checker::timed_check`].
-    fn timed_check_budgeted(
-        &mut self,
-        assumptions: &[Lit],
-        limit: usize,
-        fuel: &mut Fuel<'_>,
-    ) -> Result<CheckOutcome, Stopped> {
-        if !obs::metrics::recording() {
-            return self.bcp_under_assumptions_budgeted(assumptions, limit, fuel);
-        }
-        let handles = obs_handles();
-        let start = Instant::now();
-        let outcome =
-            self.bcp_under_assumptions_budgeted(assumptions, limit, fuel);
-        handles.checks.inc();
-        handles.check_ns.record(start.elapsed().as_nanos() as u64);
-        outcome
-    }
-
-    /// [`Checker::bcp_under_assumptions`] on metered fuel. `Err` means
-    /// the budget ran out (or the run was cancelled) before the check
-    /// could complete; the engine is left backtrackable but the check
-    /// produced no verdict and must be redone.
-    fn bcp_under_assumptions_budgeted(
-        &mut self,
-        assumptions: &[Lit],
-        limit: usize,
-        fuel: &mut Fuel<'_>,
-    ) -> Result<CheckOutcome, Stopped> {
-        // a previous check may have drained the fuel exactly; stop at the
-        // boundary so the checkpoint lands between checks
-        if let Some(stopped) = fuel.stop() {
-            return Err(stopped);
-        }
-        self.db.set_active_limit(Some(limit));
-        if let Some(&r) = self.empties.iter().find(|r| r.index() < limit) {
-            return Ok(CheckOutcome::Conflict(Conflict { clause: r }));
-        }
-        self.prop.backtrack_to(0);
-        self.prop.push_level();
-        for &l in assumptions {
-            if !self.prop.assume(l) {
-                return Ok(match self.prop.reason(l.var()) {
-                    Reason::Propagated(r) => {
-                        CheckOutcome::Conflict(Conflict { clause: r })
-                    }
-                    _ => CheckOutcome::Tautology,
-                });
-            }
-        }
-        for i in 0..self.units.len() {
-            let (r, l) = self.units[i];
-            if r.index() < self.num_original
-                || r.index() >= limit
-                || self.db.is_deleted(r)
-            {
-                continue;
-            }
-            if let Err(conflict) = self.prop.enqueue_propagated(l, r) {
-                return Ok(CheckOutcome::Conflict(conflict));
-            }
-        }
-        match self.prop.propagate_budgeted(&mut self.db, fuel) {
-            BudgetedPropagation::Conflict(c) => Ok(CheckOutcome::Conflict(c)),
-            BudgetedPropagation::Fixpoint => Ok(CheckOutcome::NoConflict),
-            BudgetedPropagation::Interrupted(stopped) => Err(stopped),
-        }
-    }
-
-    /// [`Checker::propagate_root`] on metered fuel.
-    fn propagate_root_budgeted(
-        &mut self,
-        fuel: &mut Fuel<'_>,
-    ) -> Result<Option<Conflict>, Stopped> {
-        let _span = obs::span!("proofver.root_propagate");
-        if let Some(stopped) = fuel.stop() {
-            return Err(stopped);
-        }
-        self.db.set_active_limit(Some(self.num_original));
-        if let Some(&r) =
-            self.empties.iter().find(|r| r.index() < self.num_original)
-        {
-            return Ok(Some(Conflict { clause: r }));
-        }
-        for i in 0..self.units.len() {
-            let (r, l) = self.units[i];
-            if r.index() >= self.num_original {
-                continue;
-            }
-            if let Err(conflict) = self.prop.enqueue_propagated(l, r) {
-                return Ok(Some(conflict));
-            }
-        }
-        match self.prop.propagate_budgeted(&mut self.db, fuel) {
-            BudgetedPropagation::Conflict(c) => Ok(Some(c)),
-            BudgetedPropagation::Fixpoint => Ok(None),
-            BudgetedPropagation::Interrupted(stopped) => Err(stopped),
         }
     }
 }
 
-/// Builds one worker's private fuel tank from the shared budget. The
-/// deterministic caps are per worker (each worker owns a private
-/// engine); the deadline and cancellation flag are shared.
-fn worker_fuel<'b>(
-    budget: &Budget,
-    cancel: &'b AtomicBool,
-    deadline: Option<Instant>,
-    starved: bool,
-) -> Fuel<'b> {
-    Fuel {
-        used_propagations: 0,
-        used_clause_visits: 0,
-        max_propagations: if starved { 0 } else { budget.max_propagations },
-        max_clause_visits: if starved { 0 } else { budget.max_clause_visits },
-        deadline,
-        cancel: Some(cancel),
+/// The verdict of a walk under an unlimited harness, which cannot
+/// exhaust.
+pub(crate) fn unlimited(outcome: Outcome) -> Result<Verification, VerifyError> {
+    match outcome {
+        Outcome::Verified(v) => Ok(v),
+        Outcome::Rejected { error, .. } => Err(error),
+        Outcome::Exhausted { .. } => unreachable!("an unlimited budget cannot exhaust"),
     }
 }
 

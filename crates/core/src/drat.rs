@@ -26,14 +26,15 @@ use std::io::{self, Write};
 use std::time::Instant;
 
 use bcp::{
-    ArenaWatchedPropagator, Attach, BudgetedPropagation, ClauseRef, ClauseStore, Conflict,
-    Fuel, Propagator, PropagatorChoice, Reason, Stopped, WatchedPropagator,
+    ArenaWatchedPropagator, ClauseRef, ClauseStore, Fuel, Propagator, PropagatorChoice,
+    Stopped, WatchedPropagator,
 };
-use cnf::{Clause, CnfFormula, LBool, Lit, Var};
+use cnf::{Clause, CnfFormula, Lit, Var};
 
 use crate::binary::{read_varint, write_varint, VarintFault};
 use crate::core_extract::UnsatCore;
 use crate::harness::{ExhaustReason, Harness, Progress};
+use crate::kernel::{Kernel, Lemma, Policy, StepHints};
 use crate::lrat::{LratAdd, LratLine, LratProof};
 use crate::proof::ConflictClauseProof;
 use crate::rat::DratStats;
@@ -569,18 +570,57 @@ pub fn verify_drat_backward_harnessed(
 ) -> DratOutcome {
     match engine {
         PropagatorChoice::Watched => {
-            match BackwardChecker::<WatchedPropagator>::new(formula, proof) {
-                Ok(checker) => checker.run(harness),
-                Err(error) => DratOutcome::Rejected { step: None, error },
-            }
+            check_drat::<WatchedPropagator>(formula, proof, harness)
         }
         PropagatorChoice::ArenaWatched => {
-            match BackwardChecker::<ArenaWatchedPropagator>::new(formula, proof) {
-                Ok(checker) => checker.run(harness),
-                Err(error) => DratOutcome::Rejected { step: None, error },
+            check_drat::<ArenaWatchedPropagator>(formula, proof, harness)
+        }
+    }
+}
+
+/// Checks a DRAT proof on the engine `P`: RAT allowed, certificate
+/// recorded.
+fn check_drat<P: Propagator>(
+    formula: &CnfFormula,
+    proof: &DratProof,
+    harness: &Harness,
+) -> DratOutcome {
+    match load_drat::<P>(formula, proof) {
+        Ok(walk) => walk.run(harness),
+        Err(error) => DratOutcome::Rejected { step: None, error },
+    }
+}
+
+/// Loads a DRAT proof into a backward walk, resolving each deletion by
+/// content to the most recently added live copy.
+fn load_drat<'p, P: Propagator>(
+    formula: &CnfFormula,
+    proof: &'p DratProof,
+) -> Result<BackwardWalk<'p, P, DratProof>, DratError> {
+    let mut walk = BackwardWalk::new(formula, proof, Policy::Rat, true);
+    // content → stack of live refs, most recent last
+    let mut live: HashMap<Vec<u32>, Vec<ClauseRef>> = HashMap::new();
+    for (i, clause) in formula.iter().enumerate() {
+        live.entry(content_key(clause.lits()))
+            .or_default()
+            .push(ClauseRef::from_index(i));
+    }
+    for step in proof.steps() {
+        let key = content_key(step.clause.lits());
+        match step.kind {
+            DratStepKind::Add => live.entry(key).or_default().push(walk.add(&step.clause)),
+            DratStepKind::Delete => {
+                let r = live.get_mut(&key).and_then(Vec::pop).ok_or_else(|| {
+                    DratError::DeleteMissing {
+                        position: step.position,
+                        clause: step.clause.clone(),
+                    }
+                })?;
+                walk.delete(r);
             }
         }
     }
+    Ok(walk)
 }
 
 /// Drops the unmarked steps of a verified proof: unmarked additions and
@@ -608,147 +648,105 @@ pub fn trim_drat(proof: &DratProof, verification: &DratVerification) -> DratProo
     DratProof::new(steps)
 }
 
-/// Replay hints recorded for one checked addition step.
-enum StepHints {
-    /// Never checked (unmarked): no hints.
-    Unchecked,
-    /// RUP: the unit-propagation cone, in trail order, conflict last.
-    Rup(Vec<ClauseRef>),
-    /// The clause is tautological — vacuously implied, no hints.
-    Tautology,
-    /// RAT: one `(candidate, cone)` group per live ¬pivot clause.
-    Rat(Vec<(ClauseRef, Vec<ClauseRef>)>),
-}
-
-enum SubCheck {
-    Conflict(Conflict),
-    Vacuous,
-    NoConflict,
-    Interrupted(Stopped),
-}
-
-enum RatResult {
-    Holds(Vec<(ClauseRef, Vec<ClauseRef>)>),
-    Fails,
-    Interrupted(Stopped),
-}
-
-fn content_key(lits: &[Lit]) -> Vec<u32> {
+/// The sorted literal codes of a clause: its identity for DRAT's
+/// content-addressed deletions.
+pub(crate) fn content_key(lits: &[Lit]) -> Vec<u32> {
     let mut key: Vec<u32> = lits.iter().map(|l| l.code()).collect();
     key.sort_unstable();
     key
 }
 
-struct BackwardChecker<'a, P: Propagator> {
-    proof: &'a DratProof,
-    db: P::Store,
-    prop: P,
-    /// arena ref of each addition step (in proof order)
+/// A proof the in-memory backward walk crosses, step by step: DRAT
+/// proofs and deletion-annotated native proofs.
+pub(crate) trait WalkSource {
+    /// Number of steps, additions and deletions alike.
+    fn num_steps(&self) -> usize;
+    /// The clause step `pos` adds, or `None` when the step deletes.
+    fn added(&self, pos: usize) -> Option<&Clause>;
+}
+
+impl WalkSource for DratProof {
+    fn num_steps(&self) -> usize {
+        self.steps.len()
+    }
+
+    fn added(&self, pos: usize) -> Option<&Clause> {
+        let step = &self.steps[pos];
+        (step.kind == DratStepKind::Add).then_some(&step.clause)
+    }
+}
+
+/// The in-memory backward walk over a proof with deletions, shared by
+/// DRAT and deletion-annotated native proofs: the whole proof is loaded
+/// into the kernel (deleted clauses stay in the store), then the steps
+/// are crossed newest first — a deletion revives its clause, an
+/// addition retires its clause and, when marked, checks it. Only the
+/// way a deletion names its clause differs between the proof types, so
+/// the caller loads the steps in order with [`BackwardWalk::add`] and
+/// [`BackwardWalk::delete`].
+pub(crate) struct BackwardWalk<'p, P: Propagator, S: WalkSource> {
+    kernel: Kernel<P>,
+    source: &'p S,
+    /// Store ref of each addition step (in proof order).
     add_refs: Vec<ClauseRef>,
-    /// resolved target of each deletion step (in proof order)
+    /// Resolved target of each deletion step (in proof order).
     delete_refs: Vec<ClauseRef>,
-    /// unit clauses (ref, literal); liveness via `db.is_deleted`
-    units: Vec<(ClauseRef, Lit)>,
-    empties: Vec<ClauseRef>,
-    /// occurrence lists over every clause ever added (liveness is
-    /// filtered at use) — needed to enumerate RAT candidates
-    occ: Vec<Vec<ClauseRef>>,
-    marked: Vec<bool>,
-    seen: Vec<bool>,
-    hints: Vec<StepHints>,
+    /// The certificate sink: per-addition replay hints, when recorded.
+    hints: Option<Vec<StepHints>>,
     num_original: usize,
 }
 
-impl<'a, P: Propagator> BackwardChecker<'a, P> {
-    fn new(formula: &CnfFormula, proof: &'a DratProof) -> Result<Self, DratError> {
-        let num_vars = formula
-            .num_vars()
-            .max(proof.max_var().map_or(0, |v| v.idx() + 1));
-        let mut db = P::Store::new();
-        let mut prop = P::new(num_vars);
-        let mut units = Vec::new();
-        let mut empties = Vec::new();
-        let mut occ = vec![Vec::new(); 2 * num_vars];
-        // content → stack of live refs, most recent last (deletions
-        // match the most recently added live copy)
-        let mut live: HashMap<Vec<u32>, Vec<ClauseRef>> = HashMap::new();
-
-        let attach = |db: &mut P::Store,
-                          prop: &mut P,
-                          units: &mut Vec<(ClauseRef, Lit)>,
-                          empties: &mut Vec<ClauseRef>,
-                          r: ClauseRef| {
-            match prop.attach_clause(db, r) {
-                Attach::Watched => {}
-                Attach::Unit(l) => units.push((r, l)),
-                Attach::Empty => empties.push(r),
-            }
-        };
-
+impl<'p, P: Propagator, S: WalkSource> BackwardWalk<'p, P, S> {
+    /// Loads the formula; with `certify`, the walk records LRAT hints.
+    pub(crate) fn new(formula: &CnfFormula, source: &'p S, policy: Policy, certify: bool) -> Self {
+        let added = || (0..source.num_steps()).filter_map(|pos| source.added(pos));
+        let num_adds = added().count();
+        let num_vars = added()
+            .filter_map(Clause::max_var)
+            .map(|v| v.idx() + 1)
+            .fold(formula.num_vars(), usize::max);
+        let mut kernel = Kernel::new(num_vars, policy);
         for clause in formula.iter() {
-            let r = db.add_clause(clause.lits(), false);
-            attach(&mut db, &mut prop, &mut units, &mut empties, r);
-            for &l in clause.lits() {
-                occ[l.idx()].push(r);
-            }
-            live.entry(content_key(clause.lits())).or_default().push(r);
+            let r = kernel.add(clause.lits(), false);
+            kernel.attach(r);
         }
-        let mut add_refs = Vec::new();
-        let mut delete_refs = Vec::new();
-        for step in proof.steps() {
-            match step.kind {
-                DratStepKind::Add => {
-                    let r = db.add_clause(step.clause.lits(), true);
-                    attach(&mut db, &mut prop, &mut units, &mut empties, r);
-                    for &l in step.clause.lits() {
-                        occ[l.idx()].push(r);
-                    }
-                    live.entry(content_key(step.clause.lits())).or_default().push(r);
-                    add_refs.push(r);
-                }
-                DratStepKind::Delete => {
-                    let key = content_key(step.clause.lits());
-                    let Some(r) = live.get_mut(&key).and_then(Vec::pop) else {
-                        return Err(DratError::DeleteMissing {
-                            position: step.position,
-                            clause: step.clause.clone(),
-                        });
-                    };
-                    // detach eagerly so the backward-walk re-attach
-                    // cannot duplicate watch entries
-                    prop.detach_clause(&db, r);
-                    db.delete_clause(r);
-                    delete_refs.push(r);
-                }
-            }
-        }
-        let marked = vec![false; db.len()];
-        let num_adds = add_refs.len();
-        Ok(BackwardChecker {
-            proof,
-            db,
-            prop,
-            add_refs,
-            delete_refs,
-            units,
-            empties,
-            occ,
-            marked,
-            seen: vec![false; num_vars],
-            hints: (0..num_adds).map(|_| StepHints::Unchecked).collect(),
+        BackwardWalk {
+            kernel,
+            source,
+            add_refs: Vec::with_capacity(num_adds),
+            delete_refs: Vec::with_capacity(source.num_steps() - num_adds),
+            hints: certify.then(|| vec![StepHints::Unchecked; num_adds]),
             num_original: formula.num_clauses(),
-        })
+        }
     }
 
-    fn run(mut self, harness: &Harness) -> DratOutcome {
+    /// Loads the next addition step; returns the clause's store ref.
+    pub(crate) fn add(&mut self, clause: &Clause) -> ClauseRef {
+        let r = self.kernel.add(clause.lits(), true);
+        self.kernel.attach(r);
+        self.add_refs.push(r);
+        r
+    }
+
+    /// Loads the next step, a deletion of the live clause `r`.
+    pub(crate) fn delete(&mut self, r: ClauseRef) {
+        self.kernel.retire(r);
+        self.delete_refs.push(r);
+    }
+
+    /// Store refs of the additions loaded so far, in proof order.
+    pub(crate) fn add_refs(&self) -> &[ClauseRef] {
+        &self.add_refs
+    }
+
+    pub(crate) fn run(mut self, harness: &Harness) -> DratOutcome {
         let start = Instant::now();
         let steps_total = self.add_refs.len();
         let budget = &harness.budget;
 
-        // the arena is fully allocated by `new`, so the memory cap is
+        // the arena is fully allocated by now, so the memory cap is
         // decidable up front
-        let arena_bytes = (self.db.arena_len() * std::mem::size_of::<Lit>()) as u64;
-        if arena_bytes > budget.max_arena_bytes {
+        if self.kernel.arena_bytes() > budget.max_arena_bytes {
             return DratOutcome::Exhausted {
                 reason: ExhaustReason::Memory,
                 progress: Progress { steps_total, ..Progress::default() },
@@ -769,115 +767,78 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
         // it must not witness its own check. The terminal check below
         // *is* its check; its hints become the empty clause's LRAT line.
         let trailing_empty = self.add_refs.last().copied().filter(|&last| {
-            self.db.clause_len(last) == 0 && !self.db.is_deleted(last)
+            self.kernel.db.clause_len(last) == 0 && !self.kernel.db.is_deleted(last)
         });
         if let Some(last) = trailing_empty {
-            self.db.delete_clause(last);
+            self.kernel.db.delete_clause(last);
         }
 
-        let mut terminal_hints = Vec::new();
-        match self.sub_check(&[], &mut fuel) {
-            SubCheck::Conflict(conflict) => {
-                self.mark_and_hint(conflict, &mut terminal_hints);
-            }
-            SubCheck::Vacuous => unreachable!("no assumptions, no clash"),
-            SubCheck::NoConflict => {
+        let mut terminal = StepHints::Unchecked;
+        let sink = self.hints.is_some().then_some(&mut terminal);
+        match self.kernel.check_lemma(&[], &mut fuel, &mut DratStats::default(), sink) {
+            Lemma::Implied => {}
+            Lemma::NotImplied => {
                 return DratOutcome::Rejected {
                     step: None,
                     error: DratError::NotARefutation,
                 }
             }
-            SubCheck::Interrupted(s) => {
-                return self.exhausted(s, num_checked, &fuel);
-            }
+            Lemma::Interrupted(s) => return self.exhausted(s, num_checked, &fuel),
         }
-        if let Some(last) = trailing_empty {
+        if let (Some(last), Some(hints)) = (trailing_empty, &mut self.hints) {
             // keep the claim itself in the trimmed proof and LRAT
-            self.marked[last.index()] = true;
-            *self.hints.last_mut().expect("trailing add exists") =
-                StepHints::Rup(terminal_hints.clone());
+            self.kernel.marked[last.index()] = true;
+            *hints.last_mut().expect("trailing add exists") = terminal.clone();
         }
 
         // Walk the steps backward.
-        let mut add_index = self.add_refs.len();
-        let mut delete_index = self.delete_refs.len();
-        for pos in (0..self.proof.steps().len()).rev() {
-            let step = &self.proof.steps()[pos];
-            match step.kind {
-                DratStepKind::Delete => {
-                    // stepping back across a deletion resurrects the clause
-                    delete_index -= 1;
-                    let r = self.delete_refs[delete_index];
-                    self.db.undelete_clause(r);
-                    if self.db.clause_len(r) >= 2 {
-                        self.prop.attach_clause(&mut self.db, r);
+        let (mut add_index, mut delete_index) = (self.add_refs.len(), self.delete_refs.len());
+        for pos in (0..self.source.num_steps()).rev() {
+            let Some(clause) = self.source.added(pos) else {
+                // stepping back across a deletion resurrects the clause
+                delete_index -= 1;
+                self.kernel.revive(self.delete_refs[delete_index]);
+                continue;
+            };
+            add_index -= 1;
+            let r = self.add_refs[add_index];
+            // deactivate the clause being checked
+            self.kernel.retire(r);
+            let is_trailing_empty =
+                clause.is_empty() && add_index == self.add_refs.len() - 1;
+            if is_trailing_empty || !self.kernel.marked[r.index()] {
+                continue;
+            }
+            num_checked += 1;
+            let sink = self.hints.as_mut().map(|h| &mut h[add_index]);
+            match self.kernel.check_lemma(clause.lits(), &mut fuel, &mut stats, sink) {
+                Lemma::Implied => {}
+                Lemma::NotImplied => {
+                    return DratOutcome::Rejected {
+                        step: Some(add_index),
+                        error: DratError::NotImplied {
+                            step: add_index,
+                            clause: clause.clone(),
+                        },
                     }
                 }
-                DratStepKind::Add => {
-                    add_index -= 1;
-                    let r = self.add_refs[add_index];
-                    // deactivate the clause being checked
-                    if !self.db.is_deleted(r) {
-                        self.prop.detach_clause(&self.db, r);
-                        self.db.delete_clause(r);
-                    }
-                    let is_trailing_empty =
-                        step.clause.is_empty() && add_index == self.add_refs.len() - 1;
-                    if is_trailing_empty || !self.marked[r.index()] {
-                        continue;
-                    }
-                    num_checked += 1;
-                    let negated: Vec<Lit> =
-                        step.clause.lits().iter().map(|&l| !l).collect();
-                    match self.sub_check(&negated, &mut fuel) {
-                        SubCheck::Conflict(conflict) => {
-                            let mut cone = Vec::new();
-                            self.mark_and_hint(conflict, &mut cone);
-                            self.hints[add_index] = StepHints::Rup(cone);
-                            stats.num_rup += 1;
-                        }
-                        SubCheck::Vacuous => {
-                            self.hints[add_index] = StepHints::Tautology;
-                            stats.num_rup += 1;
-                        }
-                        SubCheck::NoConflict => {
-                            match self.rat_check(&step.clause, &mut fuel, &mut stats) {
-                                RatResult::Holds(groups) => {
-                                    self.hints[add_index] = StepHints::Rat(groups);
-                                    stats.num_rat += 1;
-                                }
-                                RatResult::Fails => {
-                                    return DratOutcome::Rejected {
-                                        step: Some(add_index),
-                                        error: DratError::NotImplied {
-                                            step: add_index,
-                                            clause: step.clause.clone(),
-                                        },
-                                    }
-                                }
-                                RatResult::Interrupted(s) => {
-                                    return self.exhausted(s, num_checked, &fuel);
-                                }
-                            }
-                        }
-                        SubCheck::Interrupted(s) => {
-                            return self.exhausted(s, num_checked, &fuel);
-                        }
-                    }
-                }
+                Lemma::Interrupted(s) => return self.exhausted(s, num_checked, &fuel),
             }
         }
 
+        let marked = &self.kernel.marked;
         let core_indices: Vec<usize> =
-            (0..self.num_original).filter(|&i| self.marked[i]).collect();
-        let marked_adds: Vec<bool> =
-            self.add_refs.iter().map(|r| self.marked[r.index()]).collect();
+            (0..self.num_original).filter(|&i| marked[i]).collect();
+        let marked_adds: Vec<bool> = self.add_refs.iter().map(|r| marked[r.index()]).collect();
         let kept_deletes: Vec<bool> = self
             .delete_refs
             .iter()
-            .map(|&r| r.index() < self.num_original || self.marked[r.index()])
+            .map(|&r| r.index() < self.num_original || marked[r.index()])
             .collect();
-        let lrat = self.emit_lrat(&terminal_hints, &marked_adds, &kept_deletes);
+        let lrat = match &self.hints {
+            Some(hints) => self.emit_lrat(hints, &terminal, &marked_adds, &kept_deletes),
+            None => LratProof::default(),
+        };
         DratOutcome::Verified(Box::new(DratVerification {
             core: UnsatCore::new(core_indices, self.num_original),
             num_checked,
@@ -902,166 +863,46 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
         }
     }
 
-    /// One budgeted propagation check over the currently live clauses.
-    fn sub_check(&mut self, assumptions: &[Lit], fuel: &mut Fuel<'_>) -> SubCheck {
-        if let Some(&r) = self.empties.iter().find(|r| !self.db.is_deleted(**r)) {
-            return SubCheck::Conflict(Conflict { clause: r });
-        }
-        self.prop.reset();
-        self.prop.push_level();
-        for &l in assumptions {
-            match self.prop.value(l) {
-                // duplicate assumption
-                LBool::True => {}
-                // clashing assumptions: the obligation is tautological
-                LBool::False => return SubCheck::Vacuous,
-                LBool::Unassigned => {
-                    let ok = self.prop.assume(l);
-                    debug_assert!(ok, "unassigned literal must be assumable");
-                }
-            }
-        }
-        for i in 0..self.units.len() {
-            let (r, l) = self.units[i];
-            if self.db.is_deleted(r) {
-                continue;
-            }
-            if let Err(conflict) = self.prop.enqueue_propagated(l, r) {
-                return SubCheck::Conflict(conflict);
-            }
-        }
-        match self.prop.propagate_budgeted(&mut self.db, fuel) {
-            BudgetedPropagation::Conflict(c) => SubCheck::Conflict(c),
-            BudgetedPropagation::Fixpoint => SubCheck::NoConflict,
-            BudgetedPropagation::Interrupted(s) => SubCheck::Interrupted(s),
-        }
-    }
-
-    /// RAT fallback on the clause's first literal, in the
-    /// LRAT-compatible formulation: for every live clause `D ∋ ¬pivot`,
-    /// `F ∧ ¬C ∧ ¬(D \ {¬pivot})` must propagate to a conflict (note:
-    /// the *full* ¬C, pivot included, so the recorded hints replay
-    /// verbatim in an LRAT consumer).
-    fn rat_check(
-        &mut self,
-        clause: &Clause,
-        fuel: &mut Fuel<'_>,
-        stats: &mut DratStats,
-    ) -> RatResult {
-        if clause.is_empty() {
-            return RatResult::Fails; // no pivot to resolve on
-        }
-        let pivot = clause[0];
-        let negated_c: Vec<Lit> = clause.lits().iter().map(|&l| !l).collect();
-        // collect first: sub-checks mutate watch lists
-        let candidates: Vec<ClauseRef> = self.occ[(!pivot).idx()]
-            .iter()
-            .copied()
-            .filter(|&r| !self.db.is_deleted(r))
-            .collect();
-        let mut groups = Vec::with_capacity(candidates.len());
-        for d in candidates {
-            stats.num_resolvent_checks += 1;
-            let mut assumptions = negated_c.clone();
-            let d_lits: Vec<Lit> = self.db.lits(d).to_vec();
-            for l in d_lits {
-                if l != !pivot {
-                    assumptions.push(!l);
-                }
-            }
-            match self.sub_check(&assumptions, fuel) {
-                SubCheck::Conflict(conflict) => {
-                    let mut cone = Vec::new();
-                    self.mark_and_hint(conflict, &mut cone);
-                    // the candidate itself becomes part of the
-                    // certificate: an LRAT consumer must see it to
-                    // enumerate the same resolvents
-                    self.marked[d.index()] = true;
-                    groups.push((d, cone));
-                }
-                SubCheck::Vacuous => {
-                    // tautological resolvent: vacuously fine, no hints
-                    self.marked[d.index()] = true;
-                    groups.push((d, Vec::new()));
-                }
-                SubCheck::NoConflict => return RatResult::Fails,
-                SubCheck::Interrupted(s) => return RatResult::Interrupted(s),
-            }
-        }
-        RatResult::Holds(groups)
-    }
-
-    /// Marks the conflict cone and records it as replay hints: the
-    /// reason clauses of the cone in *forward* trail order (each is
-    /// unit when replayed left to right), then the conflicting clause.
-    fn mark_and_hint(&mut self, conflict: Conflict, hints: &mut Vec<ClauseRef>) {
-        hints.clear();
-        self.marked[conflict.clause.index()] = true;
-        let mut touched: Vec<Var> = Vec::new();
-        for &q in self.db.lits(conflict.clause) {
-            if !self.seen[q.var().idx()] {
-                self.seen[q.var().idx()] = true;
-                touched.push(q.var());
-            }
-        }
-        for idx in (0..self.prop.trail().len()).rev() {
-            let lit = self.prop.trail()[idx];
-            if !self.seen[lit.var().idx()] {
-                continue;
-            }
-            match self.prop.reason(lit.var()) {
-                Reason::Assumed | Reason::Decision => {}
-                Reason::Propagated(c) => {
-                    self.marked[c.index()] = true;
-                    for &q in self.db.lits(c) {
-                        if q != lit && !self.seen[q.var().idx()] {
-                            self.seen[q.var().idx()] = true;
-                            touched.push(q.var());
-                        }
-                    }
-                }
-            }
-        }
-        for idx in 0..self.prop.trail().len() {
-            let lit = self.prop.trail()[idx];
-            if !self.seen[lit.var().idx()] {
-                continue;
-            }
-            if let Reason::Propagated(c) = self.prop.reason(lit.var()) {
-                hints.push(c);
-            }
-        }
-        hints.push(conflict.clause);
-        for v in touched {
-            self.seen[v.idx()] = false;
-        }
-    }
-
     /// Assembles the LRAT certificate from the recorded hints. Clause
     /// ids are dense insertion order (`ref.index() + 1`): originals get
     /// `1..=n`, additions continue upward — unmarked additions leave
     /// gaps, which LRAT permits (ids only have to increase).
     fn emit_lrat(
         &self,
-        terminal_hints: &[ClauseRef],
+        hints: &[StepHints],
+        terminal: &StepHints,
         marked_adds: &[bool],
         kept_deletes: &[bool],
     ) -> LratProof {
         let id = |r: ClauseRef| (r.index() + 1) as u64;
+        let hint_ids = |h: &StepHints| -> Vec<i64> {
+            match h {
+                StepHints::Rup(cone) => cone.iter().map(|&c| id(c) as i64).collect(),
+                StepHints::Tautology => Vec::new(),
+                StepHints::Rat(groups) => groups
+                    .iter()
+                    .flat_map(|(d, cone)| {
+                        std::iter::once(-(id(*d) as i64))
+                            .chain(cone.iter().map(|&c| id(c) as i64))
+                    })
+                    .collect(),
+                StepHints::Unchecked => unreachable!("marked addition was checked"),
+            }
+        };
         let mut lines = Vec::new();
         let mut last_id = self.num_original as u64;
         let mut pending: Vec<u64> = Vec::new();
         let (mut ai, mut di) = (0usize, 0usize);
         let mut have_empty = false;
-        for step in self.proof.steps() {
-            match step.kind {
-                DratStepKind::Delete => {
+        for pos in 0..self.source.num_steps() {
+            match self.source.added(pos) {
+                None => {
                     if kept_deletes[di] {
                         pending.push(id(self.delete_refs[di]));
                     }
                     di += 1;
                 }
-                DratStepKind::Add => {
+                Some(clause) => {
                     if marked_adds[ai] {
                         if !pending.is_empty() {
                             lines.push(LratLine::Delete {
@@ -1070,29 +911,11 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
                             });
                         }
                         let r = self.add_refs[ai];
-                        let hints: Vec<i64> = match &self.hints[ai] {
-                            StepHints::Rup(cone) => {
-                                cone.iter().map(|&c| id(c) as i64).collect()
-                            }
-                            StepHints::Tautology => Vec::new(),
-                            StepHints::Rat(groups) => groups
-                                .iter()
-                                .flat_map(|(d, cone)| {
-                                    std::iter::once(-(id(*d) as i64))
-                                        .chain(cone.iter().map(|&c| id(c) as i64))
-                                })
-                                .collect(),
-                            StepHints::Unchecked => {
-                                unreachable!("marked addition was checked")
-                            }
-                        };
-                        if step.clause.is_empty() {
-                            have_empty = true;
-                        }
+                        have_empty |= clause.is_empty();
                         lines.push(LratLine::Add(LratAdd {
                             id: id(r),
-                            clause: step.clause.clone(),
-                            hints,
+                            clause: clause.clone(),
+                            hints: hint_ids(&hints[ai]),
                         }));
                         last_id = id(r);
                     }
@@ -1108,9 +931,9 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
                 lines.push(LratLine::Delete { id: last_id, ids: pending });
             }
             lines.push(LratLine::Add(LratAdd {
-                id: self.db.len() as u64 + 1,
+                id: self.kernel.db.len() as u64 + 1,
                 clause: Clause::empty(),
-                hints: terminal_hints.iter().map(|&c| id(c) as i64).collect(),
+                hints: hint_ids(terminal),
             }));
         }
         LratProof::new(lines)

@@ -870,40 +870,29 @@ impl Checkpoint {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, word: u64) {
-    for byte in word.to_le_bytes() {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
+/// FNV-1a over a clause sequence: each literal as the little-endian
+/// word `code + 1`, each clause closed by a zero word (order-sensitive).
+fn clauses_fingerprint<'c>(clauses: impl Iterator<Item = &'c cnf::Clause>) -> u64 {
+    let word = |hash: u64, w: u64| obs::fnv1a(hash, &w.to_le_bytes());
+    clauses.fold(obs::FNV1A_OFFSET, |hash, clause| {
+        let hash = clause
+            .lits()
+            .iter()
+            .fold(hash, |h, lit| word(h, u64::from(lit.code()) + 1));
+        word(hash, 0) // clause separator
+    })
 }
 
 /// FNV-1a fingerprint of a formula's clause structure (order-sensitive).
 #[must_use]
 pub fn formula_fingerprint(formula: &CnfFormula) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for clause in formula.iter() {
-        for &lit in clause.lits() {
-            fnv1a(&mut hash, u64::from(lit.code()) + 1);
-        }
-        fnv1a(&mut hash, 0); // clause separator
-    }
-    hash
+    clauses_fingerprint(formula.iter())
 }
 
 /// FNV-1a fingerprint of a proof's clause structure (order-sensitive).
 #[must_use]
 pub fn proof_fingerprint(proof: &ConflictClauseProof) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for clause in proof.iter() {
-        for &lit in clause.lits() {
-            fnv1a(&mut hash, u64::from(lit.code()) + 1);
-        }
-        fnv1a(&mut hash, 0);
-    }
-    hash
+    clauses_fingerprint(proof.iter())
 }
 
 /// Verifies `proof` against `formula` under the harness: the run obeys
@@ -943,14 +932,13 @@ pub fn verify_harnessed_with_engine(
     harness: &Harness,
     engine: bcp::PropagatorChoice,
 ) -> Outcome {
-    let fingerprints =
-        (formula_fingerprint(formula), proof_fingerprint(proof));
     match engine {
-        bcp::PropagatorChoice::Watched => Checker::new(formula, proof)
-            .run_harnessed(mode, harness, None, fingerprints),
+        bcp::PropagatorChoice::Watched => {
+            Checker::new(formula, proof).walk(mode, harness, None, None)
+        }
         bcp::PropagatorChoice::ArenaWatched => {
             Checker::<bcp::ArenaWatchedPropagator>::with_engine(formula, proof)
-                .run_harnessed(mode, harness, None, fingerprints)
+                .walk(mode, harness, None, None)
         }
     }
 }
@@ -994,18 +982,14 @@ pub fn resume_verification_with_engine(
     engine: bcp::PropagatorChoice,
 ) -> Result<Outcome, CheckpointError> {
     checkpoint.validate(formula, proof)?;
-    let fingerprints = (checkpoint.formula_hash, checkpoint.proof_hash);
+    let resume = Some(checkpoint);
     Ok(match engine {
-        bcp::PropagatorChoice::Watched => Checker::new(formula, proof)
-            .run_harnessed(checkpoint.mode, harness, Some(checkpoint), fingerprints),
+        bcp::PropagatorChoice::Watched => {
+            Checker::new(formula, proof).walk(checkpoint.mode, harness, resume, None)
+        }
         bcp::PropagatorChoice::ArenaWatched => {
             Checker::<bcp::ArenaWatchedPropagator>::with_engine(formula, proof)
-                .run_harnessed(
-                    checkpoint.mode,
-                    harness,
-                    Some(checkpoint),
-                    fingerprints,
-                )
+                .walk(checkpoint.mode, harness, resume, None)
         }
     })
 }
@@ -1013,6 +997,23 @@ pub fn resume_verification_with_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprints_keep_their_values() {
+        // checkpoints carry these: a resumed run must recompute them
+        let xor = CnfFormula::from_dimacs_clauses(&[
+            vec![1, 2],
+            vec![-1, -2],
+            vec![1, -2],
+            vec![-1, 2],
+        ]);
+        assert_eq!(formula_fingerprint(&xor), 0x4b97_f605_ff65_b105);
+        let proof = ConflictClauseProof::new(vec![
+            cnf::Clause::from_dimacs(&[2]),
+            cnf::Clause::from_dimacs(&[-2]),
+        ]);
+        assert_eq!(proof_fingerprint(&proof), 0x461d_5aa5_d4c7_0be2);
+    }
 
     #[test]
     fn marks_hex_roundtrip() {

@@ -57,6 +57,7 @@ mod drat;
 mod error;
 mod format;
 mod harness;
+mod kernel;
 mod lrat;
 mod parallel;
 mod proof;

@@ -25,10 +25,7 @@ use cnf::CnfFormula;
 use crate::checker::{CheckMode, Checker, Verification, WorkerOutcome};
 use crate::core_extract::UnsatCore;
 use crate::error::VerifyError;
-use crate::harness::{
-    formula_fingerprint, proof_fingerprint, ExhaustReason, Harness, Outcome,
-    Progress,
-};
+use crate::harness::{ExhaustReason, Harness, Outcome, Progress};
 use crate::proof::ConflictClauseProof;
 use crate::report::VerificationReport;
 
@@ -195,7 +192,8 @@ fn parallel_harnessed_generic<P: Propagator>(
 
     // terminal / refutation check first (cheap, single-threaded)
     let terminal_span = obs::span!("proofver.par.terminal");
-    let terminal = probe.check_terminal_budgeted(budget, cancel, deadline);
+    let terminal =
+        probe.check_slice(Vec::new(), true, budget, cancel, deadline, false);
     terminal_span.finish();
     let mut spent_propagations = 0u64;
     let mut spent_clause_visits = 0u64;
@@ -250,7 +248,7 @@ fn parallel_harnessed_generic<P: Propagator>(
         let _span = obs::span!("proofver.par.worker");
         let starved = harness.faults.before_slice(slice_index);
         Checker::<P>::with_engine(formula, proof)
-            .check_steps_budgeted(steps, budget, cancel, deadline, starved)
+            .check_slice(steps, false, budget, cancel, deadline, starved)
     };
     let attempts: Vec<std::thread::Result<WorkerOutcome>> =
         crossbeam::scope(|scope| {
@@ -402,12 +400,10 @@ fn sequential_fallback<'f, P: Propagator>(
     harness: &Harness,
     prebuilt: Option<Checker<'f, P>>,
 ) -> Outcome {
-    let fingerprints =
-        (formula_fingerprint(formula), proof_fingerprint(proof));
     let checker =
         prebuilt.unwrap_or_else(|| Checker::<P>::with_engine(formula, proof));
     catch_unwind(AssertUnwindSafe(|| {
-        checker.run_harnessed(CheckMode::All, harness, None, fingerprints)
+        checker.walk(CheckMode::All, harness, None, None)
     }))
     .unwrap_or_else(|_panic| Outcome::Exhausted {
         reason: ExhaustReason::WorkerFailure,

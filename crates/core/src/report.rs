@@ -21,10 +21,13 @@ pub struct VerificationReport {
     pub core_size: usize,
     /// Wall-clock verification time (Table 2, "Verification time").
     pub verify_time: Duration,
-    /// Length of the final BCP trail (diagnostic).
+    /// Literals propagated over the whole run — the unit the
+    /// `max_propagations` budget caps, and what the DRAT and streaming
+    /// checkers report too. A resumed run includes the spent budget its
+    /// checkpoint carried.
     pub propagations: u64,
     /// Clause look-ups performed by the watched-literal engine
-    /// (diagnostic for the BCP ablation).
+    /// (diagnostic for the BCP ablation), counted like `propagations`.
     pub clause_visits: u64,
 }
 

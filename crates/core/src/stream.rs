@@ -38,19 +38,21 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use bcp::{
-    ArenaWatchedPropagator, Attach, BudgetedPropagation, ClauseRef, ClauseStore,
-    Conflict, Fuel, Propagator, PropagatorChoice, Reason, Stopped,
-    WatchedPropagator,
+    ArenaWatchedPropagator, ClauseRef, ClauseStore, Fuel, Propagator, PropagatorChoice,
+    Stopped, WatchedPropagator,
 };
-use cnf::{Clause, CnfFormula, LBool, Lit, Var};
+use cnf::{Clause, CnfFormula, Lit};
 
 use crate::binary::{read_varint, VarintFault};
 use crate::core_extract::UnsatCore;
-use crate::drat::{DratError, DratProof, DratStep, DratStepKind, ParseDratError};
+use crate::drat::{
+    content_key, DratError, DratProof, DratStep, DratStepKind, ParseDratError,
+};
 use crate::harness::{
     atomic_write, formula_fingerprint, marks_from_hex, marks_to_hex,
     CheckpointError, ExhaustReason, FaultPlan, Harness, Progress,
 };
+use crate::kernel::{Kernel, Lemma, Policy};
 use crate::rat::DratStats;
 
 // ---------------------------------------------------------------------
@@ -220,21 +222,6 @@ pub enum StreamOutcome {
     /// problem, or input inconsistency. Never a statement about the
     /// proof's validity.
     Failed(StreamError),
-}
-
-// ---------------------------------------------------------------------
-// Hashing (FNV-1a over the raw proof bytes)
-// ---------------------------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 // ---------------------------------------------------------------------
@@ -429,7 +416,7 @@ impl<'r, 'f, R: Read + Seek> ForwardScan<'r, 'f, R> {
             buf: Vec::new(),
             base: 0,
             pos: 0,
-            hash: FNV_OFFSET,
+            hash: obs::FNV1A_OFFSET,
             lits: Vec::new(),
         }
     }
@@ -469,7 +456,7 @@ impl<'r, 'f, R: Read + Seek> ForwardScan<'r, 'f, R> {
         let next_start = self.base + already as u64;
         let want = (self.file_len - next_start).min(self.chunk as u64) as usize;
         self.reader.read_range(next_start, want, &mut self.buf)?;
-        self.hash = fnv1a_bytes(self.hash, &self.buf[already..]);
+        self.hash = obs::fnv1a(self.hash, &self.buf[already..]);
         Ok(())
     }
 }
@@ -522,12 +509,6 @@ struct Replay {
     stacks: HashMap<Vec<u32>, Vec<LiveEntry>>,
     live_count: u64,
     live_words: u64,
-}
-
-fn content_key(lits: &[Lit]) -> Vec<u32> {
-    let mut key: Vec<u32> = lits.iter().map(|l| l.code()).collect();
-    key.sort_unstable();
-    key
 }
 
 /// Runs pass 1: scans the whole file once, building the granule index
@@ -1045,19 +1026,6 @@ fn emit(
 // The windowed backward checker
 // ---------------------------------------------------------------------
 
-enum Sub {
-    Conflict(Conflict),
-    Vacuous,
-    NoConflict,
-    Interrupted(Stopped),
-}
-
-enum Rat {
-    Holds,
-    Fails,
-    Interrupted(Stopped),
-}
-
 /// One parsed step of a window, oldest first.
 struct WinStep {
     kind: DratStepKind,
@@ -1074,18 +1042,33 @@ struct WalkState {
     num_checked: usize,
 }
 
-/// The resident state of the windowed checker: engine, live clauses,
-/// marks, and the content-addressed stacks pairing backward-walk
-/// crossings with the forward lifecycle that pass 1 replayed.
+/// Stores a clause in `kernel` with the given mark, attached when
+/// `live` (a dead one is stored deleted, keeping refs dense).
+fn load<P: Propagator>(
+    kernel: &mut Kernel<P>,
+    lits: &[Lit],
+    learned: bool,
+    live: bool,
+    marked: bool,
+) -> ClauseRef {
+    let r = kernel.add(lits, learned);
+    if live {
+        kernel.attach(r);
+    } else {
+        kernel.db.delete_clause(r);
+    }
+    kernel.marked[r.index()] = marked;
+    r
+}
+
+/// The resident state of the windowed checker: the backward kernel
+/// over the live clauses, plus the content-addressed stacks pairing
+/// backward-walk crossings with the forward lifecycle that pass 1
+/// replayed.
 struct StreamChecker<P: Propagator> {
-    db: P::Store,
-    prop: P,
-    occ: Vec<Vec<ClauseRef>>,
+    kernel: Kernel<P>,
+    /// Occurrence-list entries since the last rebuild (residency model).
     occ_entries: u64,
-    units: Vec<(ClauseRef, Lit)>,
-    empties: Vec<ClauseRef>,
-    marked: Vec<bool>,
-    seen: Vec<bool>,
     /// content key → stack of `(global seq, ref)`, most recent last.
     /// Stand-ins resurrected by the walk use `seq = u64::MAX`.
     refs: HashMap<Vec<u32>, Vec<(u64, ClauseRef)>>,
@@ -1109,17 +1092,14 @@ impl<P: Propagator> StreamChecker<P> {
         num_vars: usize,
     ) -> Self {
         let num_original = formula.num_clauses();
-        let mut db = P::Store::new();
-        let mut prop = P::new(num_vars);
-        let mut occ: Vec<Vec<ClauseRef>> = vec![Vec::new(); 2 * num_vars];
+        let mut kernel = Kernel::<P>::new(num_vars, Policy::Rat);
         let mut occ_entries = 0u64;
-        let mut units = Vec::new();
-        let mut empties = Vec::new();
 
         // partition the live set: formula instances keep their index,
         // proof additions are re-added in ascending sequence
         let mut formula_live = vec![false; num_original];
-        let mut formula_marked = vec![false; num_original];
+        let mut formula_marked = marked_formula
+            .map_or_else(|| vec![false; num_original], |m| m[..num_original].to_vec());
         let mut proof_entries: Vec<(Vec<u32>, LiveEntry)> = Vec::new();
         for (key, stack) in replay.stacks {
             for entry in stack {
@@ -1133,71 +1113,34 @@ impl<P: Propagator> StreamChecker<P> {
         }
         proof_entries.sort_by_key(|(_, e)| e.seq);
 
-        let attach = |db: &mut P::Store,
-                          prop: &mut P,
-                          units: &mut Vec<(ClauseRef, Lit)>,
-                          empties: &mut Vec<ClauseRef>,
-                          r: ClauseRef| {
-            match prop.attach_clause(db, r) {
-                Attach::Watched => {}
-                Attach::Unit(l) => units.push((r, l)),
-                Attach::Empty => empties.push(r),
-            }
-        };
-
         let mut refs: HashMap<Vec<u32>, Vec<(u64, ClauseRef)>> = HashMap::new();
-        let mut marked = Vec::new();
         let mut live_count = 0u64;
         let mut live_words = 0u64;
         for (i, clause) in formula.iter().enumerate() {
-            let r = db.add_clause(clause.lits(), false);
+            let lits = clause.lits();
+            let r = load(&mut kernel, lits, false, formula_live[i], formula_marked[i]);
             debug_assert_eq!(r.index(), i);
             if formula_live[i] {
-                attach(&mut db, &mut prop, &mut units, &mut empties, r);
-                for &l in clause.lits() {
-                    occ[l.idx()].push(r);
-                }
-                occ_entries += clause.lits().len() as u64;
-                refs.entry(content_key(clause.lits()))
-                    .or_default()
-                    .push((i as u64, r));
+                occ_entries += lits.len() as u64;
+                refs.entry(content_key(lits)).or_default().push((i as u64, r));
                 live_count += 1;
-                live_words += clause.lits().len() as u64;
-            } else {
-                db.delete_clause(r);
+                live_words += lits.len() as u64;
             }
-            marked.push(formula_marked[i]);
         }
         for (key, entry) in proof_entries {
-            let r = db.add_clause(&entry.lits, true);
-            attach(&mut db, &mut prop, &mut units, &mut empties, r);
-            for &l in entry.lits.iter() {
-                occ[l.idx()].push(r);
-            }
+            let r = load(&mut kernel, &entry.lits, true, true, entry.marked);
             occ_entries += entry.lits.len() as u64;
             refs.entry(key).or_default().push((entry.seq, r));
             live_count += 1;
             live_words += entry.lits.len() as u64;
-            marked.push(entry.marked);
         }
         // per-key stacks must be LIFO in global sequence
         for stack in refs.values_mut() {
             stack.sort_by_key(|&(seq, _)| seq);
         }
-        if let Some(bitmap) = marked_formula {
-            for (i, &m) in bitmap.iter().enumerate().take(num_original) {
-                marked[i] |= m;
-            }
-        }
         StreamChecker {
-            db,
-            prop,
-            occ,
+            kernel,
             occ_entries,
-            units,
-            empties,
-            marked,
-            seen: vec![false; num_vars],
             refs,
             live_count,
             live_words,
@@ -1209,130 +1152,15 @@ impl<P: Propagator> StreamChecker<P> {
 
     /// The modeled residency of everything that persists across windows.
     fn fixed_residency(&self, granule_count: usize) -> u64 {
-        self.db.arena_len() as u64 * 4
+        self.kernel.db.arena_len() as u64 * 4
             + self.occ_entries * RESIDENCY_OCC
             + self.num_vars as u64 * RESIDENCY_PER_VAR
             + self.live_count * RESIDENCY_STACK_ENTRY
             + self.live_words * 4
-            + self.units.len() as u64 * RESIDENCY_UNIT
+            + self.kernel.units.len() as u64 * RESIDENCY_UNIT
             + granule_count as u64 * RESIDENCY_GRANULE
     }
 
-    /// One budgeted propagation check over the currently live clauses —
-    /// the same procedure as the in-memory backward checker.
-    fn sub_check(&mut self, assumptions: &[Lit], fuel: &mut Fuel<'_>) -> Sub {
-        if let Some(&r) = self.empties.iter().find(|r| !self.db.is_deleted(**r)) {
-            return Sub::Conflict(Conflict { clause: r });
-        }
-        self.prop.reset();
-        self.prop.push_level();
-        for &l in assumptions {
-            match self.prop.value(l) {
-                // duplicate assumption
-                LBool::True => {}
-                // clashing assumptions: the obligation is tautological
-                LBool::False => return Sub::Vacuous,
-                LBool::Unassigned => {
-                    let ok = self.prop.assume(l);
-                    debug_assert!(ok, "unassigned literal must be assumable");
-                }
-            }
-        }
-        for i in 0..self.units.len() {
-            let (r, l) = self.units[i];
-            if self.db.is_deleted(r) {
-                continue;
-            }
-            if let Err(conflict) = self.prop.enqueue_propagated(l, r) {
-                return Sub::Conflict(conflict);
-            }
-        }
-        match self.prop.propagate_budgeted(&mut self.db, fuel) {
-            BudgetedPropagation::Conflict(c) => Sub::Conflict(c),
-            BudgetedPropagation::Fixpoint => Sub::NoConflict,
-            BudgetedPropagation::Interrupted(s) => Sub::Interrupted(s),
-        }
-    }
-
-    /// RAT fallback on the clause's first literal (same formulation as
-    /// the in-memory checker; no hints are recorded in streaming mode).
-    fn rat_check(
-        &mut self,
-        clause: &[Lit],
-        fuel: &mut Fuel<'_>,
-        stats: &mut DratStats,
-    ) -> Rat {
-        let Some(&pivot) = clause.first() else {
-            return Rat::Fails; // no pivot to resolve on
-        };
-        let negated_c: Vec<Lit> = clause.iter().map(|&l| !l).collect();
-        // collect first: sub-checks mutate watch lists
-        let candidates: Vec<ClauseRef> = self.occ[(!pivot).idx()]
-            .iter()
-            .copied()
-            .filter(|&r| !self.db.is_deleted(r))
-            .collect();
-        for d in candidates {
-            stats.num_resolvent_checks += 1;
-            let mut assumptions = negated_c.clone();
-            let d_lits: Vec<Lit> = self.db.lits(d).to_vec();
-            for l in d_lits {
-                if l != !pivot {
-                    assumptions.push(!l);
-                }
-            }
-            match self.sub_check(&assumptions, fuel) {
-                Sub::Conflict(conflict) => {
-                    self.mark_cone(conflict);
-                    self.marked[d.index()] = true;
-                }
-                Sub::Vacuous => {
-                    // tautological resolvent: vacuously fine
-                    self.marked[d.index()] = true;
-                }
-                Sub::NoConflict => return Rat::Fails,
-                Sub::Interrupted(s) => return Rat::Interrupted(s),
-            }
-        }
-        Rat::Holds
-    }
-
-    /// Marks the conflict cone: the conflicting clause plus every reason
-    /// clause that fed it, walking the trail backward.
-    fn mark_cone(&mut self, conflict: Conflict) {
-        self.marked[conflict.clause.index()] = true;
-        let mut touched: Vec<Var> = Vec::new();
-        for &q in self.db.lits(conflict.clause) {
-            if !self.seen[q.var().idx()] {
-                self.seen[q.var().idx()] = true;
-                touched.push(q.var());
-            }
-        }
-        for idx in (0..self.prop.trail().len()).rev() {
-            let lit = self.prop.trail()[idx];
-            if !self.seen[lit.var().idx()] {
-                continue;
-            }
-            match self.prop.reason(lit.var()) {
-                Reason::Assumed | Reason::Decision => {}
-                Reason::Propagated(c) => {
-                    self.marked[c.index()] = true;
-                    for &q in self.db.lits(c) {
-                        if q != lit && !self.seen[q.var().idx()] {
-                            self.seen[q.var().idx()] = true;
-                            touched.push(q.var());
-                        }
-                    }
-                }
-            }
-        }
-        for v in touched {
-            self.seen[v.idx()] = false;
-        }
-    }
-}
-
-impl<P: Propagator> StreamChecker<P> {
     /// Walks one window's steps backward. On a deletion crossing the
     /// deleted clause is resurrected as a fresh stand-in (fully
     /// attached — stand-ins are new clauses, so even units and empties
@@ -1350,95 +1178,50 @@ impl<P: Propagator> StreamChecker<P> {
     ) -> Result<(), StreamOutcome> {
         for step in steps.iter().rev() {
             walk.step_no -= 1;
-            match step.kind {
-                DratStepKind::Delete => {
-                    let r = self.db.add_clause(&step.lits, true);
-                    self.marked.push(false);
-                    match self.prop.attach_clause(&mut self.db, r) {
-                        Attach::Watched => {}
-                        Attach::Unit(l) => self.units.push((r, l)),
-                        Attach::Empty => self.empties.push(r),
-                    }
-                    for &l in &step.lits {
-                        self.occ[l.idx()].push(r);
-                    }
-                    self.occ_entries += step.lits.len() as u64;
-                    self.refs
-                        .entry(content_key(&step.lits))
-                        .or_default()
-                        .push((u64::MAX, r));
-                    self.live_count += 1;
-                    self.live_words += step.lits.len() as u64;
+            let key = content_key(&step.lits);
+            if step.kind == DratStepKind::Delete {
+                let r = load(&mut self.kernel, &step.lits, true, true, false);
+                self.occ_entries += step.lits.len() as u64;
+                self.refs.entry(key).or_default().push((u64::MAX, r));
+                self.live_count += 1;
+                self.live_words += step.lits.len() as u64;
+                continue;
+            }
+            walk.add_no -= 1;
+            let Some((_, r)) = self.refs.get_mut(&key).and_then(Vec::pop) else {
+                return Err(StreamOutcome::Failed(StreamError::Inconsistent(format!(
+                    "backward walk found no live clause for addition step {} — \
+                     proof file changed during verification",
+                    walk.add_no
+                ))));
+            };
+            self.live_count -= 1;
+            self.live_words -= step.lits.len() as u64;
+            self.kernel.retire(r);
+            if Some(r) == self.trailing_empty {
+                // the claim being established; the terminal check was
+                // its check (and it is crossed at most once, so rebuilds
+                // need not remap it)
+                self.trailing_empty = None;
+                continue;
+            }
+            if !self.kernel.marked[r.index()] {
+                continue;
+            }
+            walk.num_checked += 1;
+            match self.kernel.check_lemma(&step.lits, fuel, stats, None) {
+                Lemma::Implied => {}
+                Lemma::NotImplied => {
+                    return Err(StreamOutcome::Rejected {
+                        step: Some(walk.add_no as usize),
+                        error: DratError::NotImplied {
+                            step: walk.add_no as usize,
+                            clause: Clause::new(step.lits.clone()),
+                        },
+                    })
                 }
-                DratStepKind::Add => {
-                    walk.add_no -= 1;
-                    let key = content_key(&step.lits);
-                    let Some((_, r)) =
-                        self.refs.get_mut(&key).and_then(Vec::pop)
-                    else {
-                        return Err(StreamOutcome::Failed(
-                            StreamError::Inconsistent(format!(
-                                "backward walk found no live clause for \
-                                 addition step {} — proof file changed \
-                                 during verification",
-                                walk.add_no
-                            )),
-                        ));
-                    };
-                    self.live_count -= 1;
-                    self.live_words -= step.lits.len() as u64;
-                    if !self.db.is_deleted(r) {
-                        self.prop.detach_clause(&self.db, r);
-                        self.db.delete_clause(r);
-                    }
-                    if Some(r) == self.trailing_empty {
-                        // the claim being established; the terminal
-                        // check was its check (and it is crossed at
-                        // most once, so rebuilds need not remap it)
-                        self.trailing_empty = None;
-                        continue;
-                    }
-                    if !self.marked[r.index()] {
-                        continue;
-                    }
-                    walk.num_checked += 1;
-                    let negated: Vec<Lit> =
-                        step.lits.iter().map(|&l| !l).collect();
-                    match self.sub_check(&negated, fuel) {
-                        Sub::Conflict(conflict) => {
-                            self.mark_cone(conflict);
-                            stats.num_rup += 1;
-                        }
-                        Sub::Vacuous => {
-                            stats.num_rup += 1;
-                        }
-                        Sub::NoConflict => {
-                            match self.rat_check(&step.lits, fuel, stats) {
-                                Rat::Holds => stats.num_rat += 1,
-                                Rat::Fails => {
-                                    return Err(StreamOutcome::Rejected {
-                                        step: Some(walk.add_no as usize),
-                                        error: DratError::NotImplied {
-                                            step: walk.add_no as usize,
-                                            clause: Clause::new(
-                                                step.lits.clone(),
-                                            ),
-                                        },
-                                    })
-                                }
-                                Rat::Interrupted(s) => {
-                                    return Err(self.interrupted(
-                                        s, walk, fuel, total_adds,
-                                    ))
-                                }
-                            }
-                        }
-                        Sub::Interrupted(s) => {
-                            return Err(
-                                self.interrupted(s, walk, fuel, total_adds)
-                            )
-                        }
-                    }
+                Lemma::Interrupted(s) => {
+                    return Err(self.interrupted(s, walk, fuel, total_adds))
                 }
             }
         }
@@ -1472,41 +1255,20 @@ impl<P: Propagator> StreamChecker<P> {
     /// their dense refs; surviving stand-ins are re-added in ref order
     /// and every stack is remapped.
     fn rebuild(&mut self) {
-        let mut db = P::Store::new();
-        let mut prop = P::new(self.num_vars);
-        let mut occ: Vec<Vec<ClauseRef>> = vec![Vec::new(); 2 * self.num_vars];
+        let old = &self.kernel;
+        let mut kernel = Kernel::<P>::new(self.num_vars, Policy::Rat);
         let mut occ_entries = 0u64;
-        let mut units = Vec::new();
-        let mut empties = Vec::new();
-        let mut marked = Vec::new();
-
-        let attach = |db: &mut P::Store,
-                          prop: &mut P,
-                          units: &mut Vec<(ClauseRef, Lit)>,
-                          empties: &mut Vec<ClauseRef>,
-                          r: ClauseRef| {
-            match prop.attach_clause(db, r) {
-                Attach::Watched => {}
-                Attach::Unit(l) => units.push((r, l)),
-                Attach::Empty => empties.push(r),
-            }
-        };
-
-        for i in 0..self.num_original {
-            let old = ClauseRef::from_index(i);
-            let lits = self.db.lits(old).to_vec();
-            let r = db.add_clause(&lits, false);
-            debug_assert_eq!(r.index(), i);
-            if self.db.is_deleted(old) {
-                db.delete_clause(r);
-            } else {
-                attach(&mut db, &mut prop, &mut units, &mut empties, r);
-                for &l in &lits {
-                    occ[l.idx()].push(r);
-                }
+        let mut copy = |kernel: &mut Kernel<P>, r: ClauseRef| {
+            let lits = old.db.lits(r);
+            let live = !old.db.is_deleted(r);
+            if live {
                 occ_entries += lits.len() as u64;
             }
-            marked.push(self.marked[i]);
+            load(kernel, lits, r.index() >= self.num_original, live, old.marked[r.index()])
+        };
+        for i in 0..self.num_original {
+            let r = copy(&mut kernel, ClauseRef::from_index(i));
+            debug_assert_eq!(r.index(), i);
         }
 
         // every learned clause the walk still needs is referenced by a
@@ -1521,23 +1283,12 @@ impl<P: Propagator> StreamChecker<P> {
             .collect();
         keep.sort_by_key(|r| r.index());
         let mut remap: HashMap<u32, ClauseRef> = HashMap::new();
-        for old in keep {
-            let lits = self.db.lits(old).to_vec();
-            let r = db.add_clause(&lits, true);
-            if self.db.is_deleted(old) {
-                db.delete_clause(r);
-            } else {
-                attach(&mut db, &mut prop, &mut units, &mut empties, r);
-                for &l in &lits {
-                    occ[l.idx()].push(r);
-                }
-                occ_entries += lits.len() as u64;
-            }
-            marked.push(self.marked[old.index()]);
-            remap.insert(old.index() as u32, r);
+        for r in keep {
+            remap.insert(r.index() as u32, copy(&mut kernel, r));
         }
+        let num_original = self.num_original;
         let map = |r: ClauseRef| {
-            if r.index() < self.num_original {
+            if r.index() < num_original {
                 r
             } else {
                 remap[&(r.index() as u32)]
@@ -1549,14 +1300,8 @@ impl<P: Propagator> StreamChecker<P> {
             }
         }
         self.trailing_empty = self.trailing_empty.map(map);
-
-        self.db = db;
-        self.prop = prop;
-        self.occ = occ;
+        self.kernel = kernel;
         self.occ_entries = occ_entries;
-        self.units = units;
-        self.empties = empties;
-        self.marked = marked;
     }
 
     /// Extracts the checkpointable mark state: the formula bitmap plus
@@ -1564,17 +1309,14 @@ impl<P: Propagator> StreamChecker<P> {
     /// determinism). The deleted-but-stacked trailing empty is excluded
     /// — its mark is irrelevant to resumption (its crossing is skipped).
     fn collect_marked_live(&self) -> (Vec<bool>, Vec<Vec<i32>>) {
-        let marked_formula = self.marked[..self.num_original].to_vec();
+        let (db, marked) = (&self.kernel.db, &self.kernel.marked);
+        let marked_formula = marked[..self.num_original].to_vec();
         let mut marked_live: Vec<Vec<i32>> = Vec::new();
         for stack in self.refs.values() {
             for &(_, r) in stack {
-                if r.index() >= self.num_original
-                    && self.marked[r.index()]
-                    && !self.db.is_deleted(r)
+                if r.index() >= self.num_original && marked[r.index()] && !db.is_deleted(r)
                 {
-                    marked_live.push(
-                        self.db.lits(r).iter().map(|l| l.to_dimacs()).collect(),
-                    );
+                    marked_live.push(db.lits(r).iter().map(|l| l.to_dimacs()).collect());
                 }
             }
         }
@@ -1588,7 +1330,7 @@ impl<P: Propagator> StreamChecker<P> {
     fn finalize(&mut self) -> Result<Vec<usize>, StreamOutcome> {
         let mut by_key: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
         for i in 0..self.num_original {
-            let key = content_key(self.db.lits(ClauseRef::from_index(i)));
+            let key = content_key(self.kernel.db.lits(ClauseRef::from_index(i)));
             by_key.entry(key).or_default().push(i);
         }
         let diverged = || {
@@ -1605,6 +1347,7 @@ impl<P: Propagator> StreamChecker<P> {
                 return Err(diverged());
             }
         }
+        let marked = &mut self.kernel.marked;
         for (key, stack) in &self.refs {
             let Some(instances) = by_key.get(key) else {
                 if stack.is_empty() {
@@ -1614,26 +1357,23 @@ impl<P: Propagator> StreamChecker<P> {
             };
             let needed = stack
                 .iter()
-                .filter(|&&(_, r)| self.marked[r.index()])
+                .filter(|&&(_, r)| marked[r.index()])
                 .count();
-            let already = instances
-                .iter()
-                .filter(|&&i| self.marked[i])
-                .count();
+            let already = instances.iter().filter(|&&i| marked[i]).count();
             if needed > already {
                 let mut extra = needed - already;
                 for &i in instances {
                     if extra == 0 {
                         break;
                     }
-                    if !self.marked[i] {
-                        self.marked[i] = true;
+                    if !marked[i] {
+                        marked[i] = true;
                         extra -= 1;
                     }
                 }
             }
         }
-        Ok((0..self.num_original).filter(|&i| self.marked[i]).collect())
+        Ok((0..self.num_original).filter(|&i| marked[i]).collect())
     }
 }
 
@@ -1792,15 +1532,8 @@ fn run_stream<R: Read + Seek, P: Propagator>(
     // content — conservative, so a resumed run can only check more).
     if let Some(cp) = resume {
         for lits in &cp.marked_live {
-            let key = {
-                let mut key: Vec<u32> = lits
-                    .iter()
-                    .map(|&l| Lit::from_dimacs(l).code())
-                    .collect();
-                key.sort_unstable();
-                key
-            };
-            let Some(stack) = replay.stacks.get_mut(&key) else {
+            let lits: Vec<Lit> = lits.iter().map(|&l| Lit::from_dimacs(l)).collect();
+            let Some(stack) = replay.stacks.get_mut(&content_key(&lits)) else {
                 return mismatch("marked live clause");
             };
             for entry in stack.iter_mut() {
@@ -1842,7 +1575,7 @@ fn run_stream<R: Read + Seek, P: Propagator>(
             .filter(|&&(seq, _)| seq == num_original + index.total_adds - 1)
             .map(|&(_, r)| r);
         if let Some(r) = trailing {
-            checker.db.delete_clause(r);
+            checker.kernel.db.delete_clause(r);
             checker.trailing_empty = Some(r);
         }
     }
@@ -1850,21 +1583,21 @@ fn run_stream<R: Read + Seek, P: Propagator>(
     // Terminal check: only a fresh run performs it — the existence of a
     // checkpoint implies it already passed.
     if resume.is_none() {
-        match checker.sub_check(&[], &mut fuel) {
-            Sub::Conflict(conflict) => checker.mark_cone(conflict),
-            Sub::Vacuous => unreachable!("no assumptions, no clash"),
-            Sub::NoConflict => {
+        let terminal = &mut DratStats::default();
+        match checker.kernel.check_lemma(&[], &mut fuel, terminal, None) {
+            Lemma::Implied => {}
+            Lemma::NotImplied => {
                 return StreamOutcome::Rejected {
                     step: None,
                     error: DratError::NotARefutation,
                 }
             }
-            Sub::Interrupted(s) => {
+            Lemma::Interrupted(s) => {
                 return checker.interrupted(s, &walk, &fuel, index.total_adds)
             }
         }
         if let Some(r) = checker.trailing_empty {
-            checker.marked[r.index()] = true;
+            checker.kernel.marked[r.index()] = true;
         }
         emit(events, "stream.terminal", vec![("ok", Json::from(true))]);
     } else {
@@ -1944,7 +1677,7 @@ fn run_stream<R: Read + Seek, P: Propagator>(
                 peak = peak.max(projected);
                 break j;
             }
-            if !rebuilt_here && checker.db.garbage_len() > 0 {
+            if !rebuilt_here && checker.kernel.db.garbage_len() > 0 {
                 checker.rebuild();
                 rebuilds += 1;
                 rebuilt_here = true;
@@ -2271,6 +2004,25 @@ mod tests {
             None,
         );
         assert!(matches!(outcome, StreamOutcome::Exhausted { .. }));
+    }
+
+    #[test]
+    fn proof_hash_keeps_its_value() {
+        // streaming checkpoints carry the FNV-1a of the proof file,
+        // hashed chunk by chunk: a changed value orphans every
+        // checkpoint on disk
+        let (formula, proof) = chain_workload(40);
+        let bytes = encode_drat_to_vec(&proof);
+        let faults = FaultPlan::none();
+        let mut reader =
+            ChunkedReader::new(std::io::Cursor::new(&bytes), &faults);
+        let len = bytes.len() as u64;
+        let Ok((index, _)) = scan_and_replay(
+            &mut reader, len, 64, &formula, len, 512, u64::MAX, false,
+        ) else {
+            panic!("the chain workload indexes");
+        };
+        assert_eq!(index.proof_hash, 0x29c7_273c_0422_6fa7);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //!   access logs (one complete JSON document per line).
 //! * [`prometheus`] — text exposition of a [`MetricsSnapshot`] in the
 //!   format metrics scrapers expect.
+//! * [`fnv1a`] — the 64-bit FNV-1a hash behind every fingerprint in the
+//!   workspace.
 //!
 //! The crate deliberately has **zero external dependencies**: it must be
 //! buildable in fully offline environments and addable to any crate in
@@ -26,12 +28,14 @@
 #![warn(missing_docs)]
 
 pub mod eventlog;
+mod fnv;
 pub mod json;
 pub mod metrics;
 pub mod prometheus;
 pub mod span;
 
 pub use eventlog::EventLog;
+pub use fnv::{fnv1a, FNV1A_OFFSET};
 pub use json::Json;
 pub use metrics::{counter, gauge, histogram, registry_snapshot, MetricsSnapshot};
 pub use span::{

@@ -24,7 +24,7 @@ use proofver::{
     StreamCheckpoint, StreamConfig, StreamError, StreamOutcome, MAGIC,
 };
 use satverifyd::{
-    BudgetSpec, Client, Endpoint, ErrorCode as WireError, IoModel,
+    BudgetSpec, Client, Endpoint, ErrorCode as WireError,
     Request as WireRequest, Response as WireResponse, RetryPolicy, Router,
     RouterConfig, Server, ServerConfig, VerifyRequest, DEFAULT_CACHE_BYTES,
 };
@@ -95,7 +95,7 @@ USAGE:
         --metrics      print the metrics registry to stderr
 
     satverify serve [--listen <ep>] [--workers <n>] [--queue-capacity <n>]
-                    [--cache-mb <n>] [--no-cache] [--io <reactor|threads>]
+                    [--cache-mb <n>] [--no-cache]
                     [budget flags] [--drain-on-stdin-close]
                     [--event-log <path>]
         run the verification daemon: accept jobs over tcp:HOST:PORT or
@@ -105,9 +105,9 @@ USAGE:
         per-job default; requests may tighten or override it.
         Identical inline submissions are served from a content-addressed
         verdict cache (--cache-mb sets the byte budget, default 64;
-        --no-cache verifies every submission); --io selects the
-        connection I/O model (default reactor on unix: one poller thread
-        for any number of connections).
+        --no-cache verifies every submission). On unix one poller
+        thread serves any number of connections; elsewhere each
+        connection gets a reader thread.
         --event-log appends one JSON line per job-lifecycle event
         (received, admitted, rejected, started, terminal — schema in
         docs/OBSERVABILITY.md).
@@ -1103,7 +1103,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let event_log = take_option(&mut args, "--event-log");
     let cache_mb = take_u64_option(&mut args, "--cache-mb")?;
     let no_cache = take_flag(&mut args, "--no-cache");
-    let io = take_option(&mut args, "--io");
     let budget = take_budget(&mut args)?;
     if !args.is_empty() {
         return Err(format!("unexpected arguments {args:?}; see `satverify help`"));
@@ -1128,14 +1127,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             .map(|mb| mb.saturating_mul(1024 * 1024))
             .unwrap_or(DEFAULT_CACHE_BYTES);
         config = config.cache_bytes(bytes);
-    }
-    match io.as_deref() {
-        None => {}
-        Some("reactor") => config = config.io(IoModel::Reactor),
-        Some("threads") => config = config.io(IoModel::Threads),
-        Some(other) => {
-            return Err(format!("bad --io {other:?} (reactor|threads)"))
-        }
     }
     if let Some(path) = &event_log {
         let log = obs::EventLog::create(Path::new(path))

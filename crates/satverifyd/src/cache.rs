@@ -61,16 +61,6 @@ impl Default for CacheConfig {
     }
 }
 
-/// 64-bit FNV-1a over `bytes` (also the router's shard hash).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Appends one `tag:length:content` section so distinct field splits
 /// can never serialise to the same byte string.
 fn push_section(out: &mut Vec<u8>, tag: &[u8], content: &[u8]) {
@@ -124,7 +114,7 @@ impl CacheKey {
                 None => bytes.push(0),
             }
         }
-        let hash = fnv1a64(&bytes);
+        let hash = obs::fnv1a(obs::FNV1A_OFFSET, &bytes);
         Some(CacheKey { hash, bytes: bytes.into() })
     }
 
@@ -432,6 +422,19 @@ mod tests {
             proof: Some(proof.into()),
             ..VerifyRequest::default()
         }
+    }
+
+    #[test]
+    fn fingerprints_and_shard_choices_keep_their_values() {
+        // cache buckets and router placement are derived from FNV-1a:
+        // a changed value sends every routed job to a cold backend
+        let req = request("p cnf 2 2\n1 2 0\n-1 0\n", "2 0\n0\n");
+        let key = CacheKey::for_request(&req).expect("inline job");
+        assert_eq!(key.fingerprint(), 0x7967_be03_bd07_6b77);
+        let shards: Vec<usize> = (1..=8)
+            .map(|n| crate::router::shard_index(&req, n))
+            .collect();
+        assert_eq!(shards, vec![0, 1, 0, 3, 2, 3, 6, 3]);
     }
 
     fn verdict(outcome: &str) -> JobResult {

@@ -35,10 +35,9 @@
 //!   own `cache_hit` latency series;
 //! * an additive **`batch` op** submitting many jobs in one line with
 //!   all-or-nothing validation and per-job completion-order responses;
-//! * **readiness-driven I/O** (`server::reactor`, default on unix):
-//!   one thread `poll(2)`s every connection, so idle clients cost
-//!   buffers instead of parked threads — thread-per-connection remains
-//!   selectable via [`IoModel`];
+//! * **readiness-driven I/O** (`server::reactor`, on unix): one thread
+//!   `poll(2)`s every connection, so idle clients cost buffers instead
+//!   of parked threads — other platforms use thread-per-connection;
 //! * a **sharding front tier** ([`router`], CLI `satverify route`)
 //!   hashing jobs by formula content to a static backend pool, with
 //!   health probing and drain/EOF failover so no submission loses its
@@ -88,6 +87,6 @@ pub use protocol::{
 pub use queue::{JobQueue, PushError};
 pub use router::{Router, RouterConfig, RouterHandle};
 pub use server::{
-    DrainTrigger, FaultFactory, IoModel, Server, ServerConfig, ServerHandle,
+    DrainTrigger, FaultFactory, Server, ServerConfig, ServerHandle,
 };
 pub use stats::{ServerStats, StatsSnapshot};

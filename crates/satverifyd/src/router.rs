@@ -43,7 +43,6 @@ use std::time::{Duration, Instant};
 use obs::json::Json;
 use obs::EventLog;
 
-use crate::cache::fnv1a64;
 use crate::net::{Endpoint, Listener, Stream};
 use crate::protocol::{
     ErrorCode, Request, Response, StatsReply, VerifyRequest,
@@ -62,7 +61,7 @@ pub fn shard_index(request: &VerifyRequest, shards: usize) -> usize {
         .or(request.formula_path.as_deref())
         .unwrap_or("")
         .as_bytes();
-    (fnv1a64(bytes) % shards.max(1) as u64) as usize
+    (obs::fnv1a(obs::FNV1A_OFFSET, bytes) % shards.max(1) as u64) as usize
 }
 
 /// Router tuning knobs.

@@ -4,17 +4,16 @@
 //!
 //! ## Threading model
 //!
-//! Connection I/O runs under one of two models ([`IoModel`]):
+//! The platform decides how connection I/O runs:
 //!
-//! * **Reactor** (default on Unix): a single thread `poll(2)`s the
-//!   listener and every connection, so 10k idle connections cost one
-//!   thread, not 10k. Request lines are parsed and dispatched from the
-//!   reactor; responses are written by whichever thread completes them.
-//! * **Threads**: one accept thread plus one reader thread per
-//!   connection (the original model, and the fallback where `poll` is
-//!   unavailable).
+//! * **Reactor** (Unix): a single thread `poll(2)`s the listener and
+//!   every connection, so 10k idle connections cost one thread, not
+//!   10k. Request lines are parsed and dispatched from the reactor;
+//!   responses are written by whichever thread completes them.
+//! * **Threads** (elsewhere, where `poll` is unavailable): one accept
+//!   thread plus one reader thread per connection.
 //!
-//! Under both models, `workers` **worker** threads pop the bounded
+//! Under both, `workers` **worker** threads pop the bounded
 //! [`JobQueue`] fairly (round-robin across clients), each running one
 //! job at a time under a per-job [`Harness`] (budget +
 //! [`CancelToken`]), panic-isolated with `catch_unwind`.
@@ -72,24 +71,6 @@ mod reactor;
 /// Production servers leave it unset ([`FaultPlan::none`] everywhere).
 pub type FaultFactory = Arc<dyn Fn(u64) -> FaultPlan + Send + Sync>;
 
-/// How the daemon multiplexes connection I/O.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IoModel {
-    /// One readiness-driven thread `poll(2)`s the listener and every
-    /// connection. Unix only; elsewhere it silently falls back to
-    /// [`IoModel::Threads`].
-    Reactor,
-    /// One accept thread plus one blocking reader thread per
-    /// connection.
-    Threads,
-}
-
-impl Default for IoModel {
-    fn default() -> Self {
-        if cfg!(unix) { IoModel::Reactor } else { IoModel::Threads }
-    }
-}
-
 /// Server tuning knobs.
 #[derive(Clone)]
 pub struct ServerConfig {
@@ -102,8 +83,6 @@ pub struct ServerConfig {
     pub default_budget: Budget,
     /// Verdict-cache knobs (off by default; see [`CacheConfig`]).
     pub cache: CacheConfig,
-    /// Connection I/O model (readiness-driven by default on Unix).
-    pub io: IoModel,
     /// Test-only fault injection (see [`FaultFactory`]).
     pub faults: Option<FaultFactory>,
     /// Optional JSONL job-lifecycle log (see `docs/OBSERVABILITY.md`).
@@ -117,7 +96,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             default_budget: Budget::unlimited(),
             cache: CacheConfig::default(),
-            io: IoModel::default(),
             faults: None,
             event_log: None,
         }
@@ -131,7 +109,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("queue_capacity", &self.queue_capacity)
             .field("default_budget", &self.default_budget)
             .field("cache", &self.cache)
-            .field("io", &self.io)
             .field("faults", &self.faults.as_ref().map(|_| "<factory>"))
             .field("event_log", &self.event_log.as_ref().map(|_| "<log>"))
             .finish()
@@ -172,13 +149,6 @@ impl ServerConfig {
     #[must_use]
     pub fn cache_enabled(mut self, enabled: bool) -> Self {
         self.cache.enabled = enabled;
-        self
-    }
-
-    /// Selects the connection I/O model.
-    #[must_use]
-    pub fn io(mut self, model: IoModel) -> Self {
-        self.io = model;
         self
     }
 
@@ -329,12 +299,11 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("satverifyd-io".into())
-                .spawn(move || match shared.config.io {
+                .spawn(move || {
                     #[cfg(unix)]
-                    IoModel::Reactor => reactor::run(listener, &shared),
+                    reactor::run(listener, &shared);
                     #[cfg(not(unix))]
-                    IoModel::Reactor => accept_loop(&listener, &shared),
-                    IoModel::Threads => accept_loop(&listener, &shared),
+                    accept_loop(&listener, &shared);
                 })
                 .expect("spawn I/O thread")
         };

@@ -1,10 +1,9 @@
 //! I/O-model tests: the readiness-driven reactor holds a thousand idle
-//! connections on a bounded thread count, and the thread-per-connection
-//! model remains selectable and fully functional.
+//! connections on a bounded thread count, and where there is no
+//! reactor the thread-per-connection model is fully functional.
 
 use satverifyd::{
-    Client, Endpoint, IoModel, Request, Response, Server, ServerConfig,
-    VerifyRequest,
+    Client, Endpoint, Request, Response, Server, ServerConfig, VerifyRequest,
 };
 
 const XOR_SQUARE: &str = "p cnf 2 4\n1 2 0\n-1 -2 0\n1 -2 0\n-1 2 0\n";
@@ -19,11 +18,12 @@ fn verify_job(id: &str) -> Request {
     })
 }
 
-/// The explicit thread-per-connection model still round-trips jobs and
-/// control requests.
+/// The thread-per-connection model (the platform default off unix)
+/// round-trips jobs and control requests.
+#[cfg(not(unix))]
 #[test]
 fn threaded_model_round_trips() {
-    let config = ServerConfig::default().workers(1).io(IoModel::Threads);
+    let config = ServerConfig::default().workers(1);
     let handle = Server::bind(&Endpoint::tcp("127.0.0.1:0"), config).expect("bind");
     let mut client = Client::connect(&handle.local_endpoint()).expect("connect");
     assert!(matches!(client.request(&Request::Ping).expect("ping"), Response::Pong));
