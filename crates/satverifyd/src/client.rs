@@ -133,9 +133,7 @@ impl Client {
     ///
     /// Propagates the socket write failure.
     pub fn send(&mut self, request: &Request) -> io::Result<()> {
-        let mut line = request.to_line();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
+        self.writer.write_all(request.to_wire().as_bytes())?;
         self.writer.flush()
     }
 

@@ -50,6 +50,10 @@ struct Conn {
     writer: SharedWriter,
     /// Bytes received but not yet terminated by a newline.
     buf: Vec<u8>,
+    /// How much of `buf` is already known to hold no newline: each
+    /// `read` appends to the buffer and only the new bytes are searched,
+    /// so a line spanning many reads is scanned once, not once per read.
+    scanned: usize,
 }
 
 /// The reactor thread body. Exits when `shared.stop` is set.
@@ -153,6 +157,7 @@ fn accept_ready(
             stream,
             writer: Arc::new(Mutex::new(write_half)),
             buf: Vec::new(),
+            scanned: 0,
         });
     }
 }
@@ -168,9 +173,8 @@ fn service_conn(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
                 // EOF. A final unterminated line is still served, to
                 // match BufReader::lines in the threaded model.
                 if !conn.buf.is_empty() {
-                    let line = String::from_utf8_lossy(&conn.buf).into_owned();
+                    let _ = handle_line(shared, conn.id, &conn.buf, &conn.writer);
                     conn.buf.clear();
-                    let _ = handle_line(shared, conn.id, &line, &conn.writer);
                 }
                 return false;
             }
@@ -190,20 +194,21 @@ fn service_conn(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
     }
 }
 
-/// Splits and handles every complete line in the buffer. Returns
-/// whether the connection stays open (a failed response write closes
-/// it).
+/// Handles every complete line in the buffer, in place, then drops
+/// them from its front. Returns whether the connection stays open (a
+/// failed response write closes it).
 fn dispatch_lines(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
-    while let Some(pos) = conn.buf.iter().position(|&b| b == b'\n') {
-        let mut line: Vec<u8> = conn.buf.drain(..=pos).collect();
-        line.pop(); // the newline
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        let text = String::from_utf8_lossy(&line);
-        if handle_line(shared, conn.id, &text, &conn.writer).is_err() {
+    let mut start = 0;
+    while let Some(len) = conn.buf[conn.scanned..].iter().position(|&b| b == b'\n') {
+        let end = conn.scanned + len;
+        conn.scanned = end + 1;
+        let line = &conn.buf[start..end];
+        start = end + 1;
+        if handle_line(shared, conn.id, line, &conn.writer).is_err() {
             return false;
         }
     }
+    conn.buf.drain(..start);
+    conn.scanned = conn.buf.len();
     true
 }
