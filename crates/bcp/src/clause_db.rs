@@ -243,70 +243,12 @@ impl ClauseDb {
     pub fn arena_len(&self) -> usize {
         self.lits.len()
     }
-}
 
-impl crate::engine::ClauseStore for ClauseDb {
-    fn new() -> Self {
-        ClauseDb::new()
-    }
-
-    fn from_formula(formula: &CnfFormula) -> Self {
-        ClauseDb::from_formula(formula)
-    }
-
-    fn add_clause(&mut self, lits: &[Lit], learned: bool) -> ClauseRef {
-        ClauseDb::add_clause(self, lits, learned)
-    }
-
-    fn len(&self) -> usize {
-        ClauseDb::len(self)
-    }
-
-    fn lits(&self, r: ClauseRef) -> &[Lit] {
-        ClauseDb::lits(self, r)
-    }
-
-    fn lits_mut(&mut self, r: ClauseRef) -> &mut [Lit] {
-        ClauseDb::lits_mut(self, r)
-    }
-
-    fn clause_len(&self, r: ClauseRef) -> usize {
-        ClauseDb::clause_len(self, r)
-    }
-
-    fn is_learned(&self, r: ClauseRef) -> bool {
-        ClauseDb::is_learned(self, r)
-    }
-
-    fn is_deleted(&self, r: ClauseRef) -> bool {
-        ClauseDb::is_deleted(self, r)
-    }
-
-    fn delete_clause(&mut self, r: ClauseRef) {
-        ClauseDb::delete_clause(self, r);
-    }
-
-    fn undelete_clause(&mut self, r: ClauseRef) {
-        ClauseDb::undelete_clause(self, r);
-    }
-
-    fn set_active_limit(&mut self, limit: Option<usize>) {
-        ClauseDb::set_active_limit(self, limit);
-    }
-
-    fn active_limit(&self) -> Option<usize> {
-        ClauseDb::active_limit(self)
-    }
-
-    fn is_active(&self, r: ClauseRef) -> bool {
-        ClauseDb::is_active(self, r)
-    }
-
-    fn arena_len(&self) -> usize {
-        ClauseDb::arena_len(self)
-    }
-
-    fn garbage_len(&self) -> usize {
+    /// Literal slots occupied by deleted-but-unreclaimed clauses — what a
+    /// rebuild would give back. The streaming checker uses this to
+    /// decide whether rebuilding is worth it before shrinking its window.
+    #[must_use]
+    pub fn garbage_len(&self) -> usize {
         self.headers
             .iter()
             .filter(|h| h.deleted)

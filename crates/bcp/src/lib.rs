@@ -1,23 +1,20 @@
 //! Boolean constraint propagation engines.
 //!
 //! BCP is the *only* procedure one needs to implement to verify a
-//! conflict-clause proof (Goldberg & Novikov, DATE 2003, §1) — this crate
-//! provides it twice:
+//! conflict-clause proof (Goldberg & Novikov, DATE 2003, §1). The crate
+//! has one production engine and two ablation baselines:
 //!
 //! * [`WatchedPropagator`] — the two-watched-literal scheme of Chaff,
 //!   which the paper's §6 adopts because proof clauses are long and
 //!   watched literals avoid touching them;
-//! * [`ArenaWatchedPropagator`] — the same scheme over a flat
-//!   [`ClauseArena`] with blocking literals and offset-based watch
-//!   entries, the raw-speed layout;
+//! * [`HeadTailPropagator`] — SATO's head-tail lists, the historical
+//!   middle step;
 //! * [`CountingPropagator`] — the classical counter-based scheme, kept as
-//!   the ablation baseline.
+//!   the ablation baseline and as the differential-test oracle.
 //!
-//! Clauses live in a [`ClauseDb`] or [`ClauseArena`] store owned by the
-//! caller, so the CDCL solver (`cdcl` crate) and the proof checker
-//! (`proofver` crate) can add, delete, and *deactivate* clauses between
-//! propagations. The [`ClauseStore`] and [`Propagator`] traits abstract
-//! over the two layouts; [`PropagatorChoice`] is the runtime switch.
+//! Clauses live in a [`ClauseDb`] owned by the caller, so the CDCL
+//! solver (`cdcl` crate) and the proof checker (`proofver` crate) can
+//! add, delete, and *deactivate* clauses between propagations.
 //!
 //! # Examples
 //!
@@ -41,17 +38,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod clause_db;
 mod counting;
-mod engine;
 mod head_tail;
 mod propagator;
 
-pub use arena::{ArenaWatchedPropagator, BulkAttach, ClauseArena, View};
 pub use clause_db::{ClauseDb, ClauseRef};
 pub use counting::CountingPropagator;
-pub use engine::{ClauseRefs, ClauseStore, Propagator, PropagatorChoice};
 pub use head_tail::HeadTailPropagator;
 pub use propagator::{
     Attach, BudgetedPropagation, Conflict, Fuel, Reason, Stopped, WatchedPropagator,

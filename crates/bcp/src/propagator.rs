@@ -18,7 +18,7 @@ use crate::clause_db::{ClauseDb, ClauseRef};
 
 /// Registry handles for the engine's metrics, resolved once. The hot
 /// loop only pays for these when `obs::metrics::recording()` is on.
-pub(crate) fn obs_handles(
+fn obs_handles(
 ) -> (obs::metrics::Counter, obs::metrics::Counter, obs::metrics::Histogram) {
     static HANDLES: OnceLock<(
         obs::metrics::Counter,
@@ -109,7 +109,7 @@ impl Fuel<'static> {
 impl Fuel<'_> {
     /// The deterministic stop that applies right now, if any.
     #[inline]
-    pub(crate) fn deterministic_stop(&self) -> Option<Stopped> {
+    fn deterministic_stop(&self) -> Option<Stopped> {
         if self.used_propagations >= self.max_propagations {
             Some(Stopped::Propagations)
         } else if self.used_clause_visits >= self.max_clause_visits {
@@ -592,86 +592,6 @@ impl WatchedPropagator {
         self.trail.clear();
         self.trail_lim.clear();
         self.qhead = 0;
-    }
-}
-
-impl crate::engine::Propagator for WatchedPropagator {
-    type Store = ClauseDb;
-
-    fn new(num_vars: usize) -> Self {
-        WatchedPropagator::new(num_vars)
-    }
-
-    fn ensure_vars(&mut self, num_vars: usize) {
-        WatchedPropagator::ensure_vars(self, num_vars);
-    }
-
-    fn assignment(&self) -> &Assignment {
-        WatchedPropagator::assignment(self)
-    }
-
-    fn trail(&self) -> &[Lit] {
-        WatchedPropagator::trail(self)
-    }
-
-    fn decision_level(&self) -> u32 {
-        WatchedPropagator::decision_level(self)
-    }
-
-    fn reason(&self, var: Var) -> Reason {
-        WatchedPropagator::reason(self, var)
-    }
-
-    fn level(&self, var: Var) -> u32 {
-        WatchedPropagator::level(self, var)
-    }
-
-    fn num_clause_visits(&self) -> u64 {
-        WatchedPropagator::num_clause_visits(self)
-    }
-
-    fn push_level(&mut self) {
-        WatchedPropagator::push_level(self);
-    }
-
-    fn decide(&mut self, lit: Lit) {
-        WatchedPropagator::decide(self, lit);
-    }
-
-    fn assume(&mut self, lit: Lit) -> bool {
-        WatchedPropagator::assume(self, lit)
-    }
-
-    fn enqueue_propagated(&mut self, lit: Lit, cref: ClauseRef) -> Result<(), Conflict> {
-        WatchedPropagator::enqueue_propagated(self, lit, cref)
-    }
-
-    fn attach_clause(&mut self, db: &mut ClauseDb, cref: ClauseRef) -> Attach {
-        WatchedPropagator::attach_clause(self, db, cref)
-    }
-
-    fn detach_clause(&mut self, db: &ClauseDb, cref: ClauseRef) {
-        WatchedPropagator::detach_clause(self, db, cref);
-    }
-
-    fn propagate(&mut self, db: &mut ClauseDb) -> Option<Conflict> {
-        WatchedPropagator::propagate(self, db)
-    }
-
-    fn propagate_budgeted(
-        &mut self,
-        db: &mut ClauseDb,
-        fuel: &mut Fuel<'_>,
-    ) -> BudgetedPropagation {
-        WatchedPropagator::propagate_budgeted(self, db, fuel)
-    }
-
-    fn backtrack_to(&mut self, level: u32) {
-        WatchedPropagator::backtrack_to(self, level);
-    }
-
-    fn reset(&mut self) {
-        WatchedPropagator::reset(self);
     }
 }
 

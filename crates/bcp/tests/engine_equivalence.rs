@@ -1,9 +1,16 @@
-//! Property test: the watched-literal and counting engines derive the
-//! same forced assignments and agree on whether a conflict exists, for
-//! random formulas and random decision sequences.
+//! Differential tests: the watched-literal engine derives the same
+//! forced assignments as the counting oracle (and the head-tail
+//! ablation) and agrees on whether a conflict exists — on random
+//! formulas and decision sequences, on the pigeonhole,
+//! mutilated-chessboard and random 3-SAT families, and across clause
+//! deletions.
 
-use bcp::{Attach, ClauseDb, CountingPropagator, HeadTailPropagator, WatchedPropagator};
+use bcp::{
+    Attach, BudgetedPropagation, ClauseDb, ClauseRef, Conflict, CountingPropagator, Fuel,
+    HeadTailPropagator, WatchedPropagator,
+};
 use cnf::{CnfFormula, Lit, Var};
+use cnfgen::{mutilated_chessboard, pigeonhole, random_ksat};
 use proptest::prelude::*;
 
 fn dimacs_lit(n: i32) -> impl Strategy<Value = i32> {
@@ -55,11 +62,113 @@ fn setup_counting(f: &CnfFormula) -> Option<(ClauseDb, CountingPropagator)> {
     let mut p = CountingPropagator::new(f.num_vars());
     p.attach_all(&db);
     for r in db.refs() {
-        if db.clause_len(r) == 1 && p.enqueue_unit(db.lits(r)[0], r).is_err() {
+        let conflicts = match db.clause_len(r) {
+            0 => true, // as `setup_watched` does for `Attach::Empty`
+            1 => p.enqueue_unit(db.lits(r)[0], r).is_err(),
+            _ => false,
+        };
+        if conflicts {
             return None;
         }
     }
     Some((db, p))
+}
+
+/// Drives both engines through the same decision schedule, asserting
+/// conflict parity and identical assignments after every propagation.
+/// A conflict backtracks both engines one level and the schedule goes on;
+/// the partial assignments at a conflict depend on propagation order, so
+/// they are compared only after the backtrack.
+fn drive_pair(
+    db_w: &mut ClauseDb,
+    w: &mut WatchedPropagator,
+    db_c: &ClauseDb,
+    c: &mut CountingPropagator,
+    schedule: &[Lit],
+) {
+    for &lit in schedule {
+        if !w.assignment().is_unassigned(lit) {
+            continue;
+        }
+        w.decide(lit);
+        c.decide(lit);
+        let cw = w.propagate(db_w);
+        let cc = c.propagate(db_c);
+        assert_eq!(cw.is_some(), cc.is_some(), "conflict parity after {lit}");
+        if cw.is_some() {
+            let lvl = w.decision_level() - 1;
+            w.backtrack_to(lvl);
+            c.backtrack_to(lvl);
+        }
+        for v in 0..w.assignment().num_vars() {
+            let l = Var::new(v as u32).positive();
+            assert_eq!(w.value(l), c.value(l), "disagree on {l} after {lit}");
+        }
+    }
+}
+
+/// A fixed but var-count-aware decision schedule for the named families.
+fn family_schedule(num_vars: usize) -> Vec<Lit> {
+    (0..num_vars)
+        .map(|i| {
+            let v = Var::new(((i * 7) % num_vars) as u32);
+            v.lit(i % 3 == 0)
+        })
+        .collect()
+}
+
+/// Runs the full differential harness (root propagation + schedule) on
+/// one formula.
+fn check_family(f: &CnfFormula) {
+    let (sw, sc) = (setup_watched(f), setup_counting(f));
+    // Degenerate at the root (conflicting units): both engines must
+    // agree that setup itself fails.
+    assert_eq!(sw.is_some(), sc.is_some(), "root setup parity");
+    let (Some((mut db_w, mut w)), Some((db_c, mut c))) = (sw, sc) else {
+        return;
+    };
+    let cw = w.propagate(&mut db_w);
+    let cc = c.propagate(&db_c);
+    assert_eq!(cw.is_some(), cc.is_some(), "root conflict parity");
+    if cw.is_some() {
+        return;
+    }
+    drive_pair(&mut db_w, &mut w, &db_c, &mut c, &family_schedule(f.num_vars()));
+}
+
+/// Propagates with unlimited fuel; a budgeted run can then only end in a
+/// conflict or a fixpoint.
+fn propagate_with_ample_fuel(
+    p: &mut WatchedPropagator,
+    db: &mut ClauseDb,
+    fuel: &mut Fuel<'_>,
+) -> Option<Conflict> {
+    match p.propagate_budgeted(db, fuel) {
+        BudgetedPropagation::Conflict(c) => Some(c),
+        BudgetedPropagation::Fixpoint => None,
+        BudgetedPropagation::Interrupted(_) => unreachable!("unlimited fuel"),
+    }
+}
+
+#[test]
+fn pigeonhole_family_agrees() {
+    for holes in 2..=6 {
+        check_family(&pigeonhole(holes));
+    }
+}
+
+#[test]
+fn chessboard_family_agrees() {
+    for n in [2, 4, 6] {
+        check_family(&mutilated_chessboard(n));
+    }
+}
+
+#[test]
+fn random_ksat_family_agrees() {
+    for seed in 0..8 {
+        check_family(&random_ksat(3, 50, 180, seed));
+    }
 }
 
 proptest! {
@@ -186,6 +295,77 @@ proptest! {
                         .all(|&x| x == l || p.assignment().is_false(x))
             });
             prop_assert!(has_witness, "forced literal {} lacks a unit witness", l);
+        }
+    }
+
+    /// Agreement survives clause deletion: the watched engine drops
+    /// deleted clauses lazily, the counting oracle skips them, and both
+    /// keep propagating identically.
+    #[test]
+    fn watched_agrees_with_counting_after_deletions(
+        f in formula_strategy(8),
+        decisions in prop::collection::vec(dimacs_lit(8), 1..8),
+        delete_mask in prop::collection::vec(any::<bool>(), 29),
+    ) {
+        let (Some((mut db_w, mut w)), Some((mut db_c, mut c))) =
+            (setup_watched(&f), setup_counting(&f))
+        else {
+            return Ok(());
+        };
+        let cw = w.propagate(&mut db_w);
+        prop_assert_eq!(cw.is_some(), c.propagate(&db_c).is_some(), "root conflict parity");
+        if cw.is_some() {
+            return Ok(());
+        }
+        for (i, &kill) in delete_mask.iter().enumerate() {
+            if kill && i < db_w.len() {
+                let r = ClauseRef::from_index(i);
+                db_w.delete_clause(r);
+                db_c.delete_clause(r);
+            }
+        }
+        drive_pair(
+            &mut db_w, &mut w, &db_c, &mut c,
+            &decisions.iter().map(|&d| Lit::from_dimacs(d)).collect::<Vec<_>>(),
+        );
+    }
+
+    /// Budgeted propagation with ample fuel reaches the same conflicts
+    /// and the same assignments as plain propagation.
+    #[test]
+    fn budgeted_matches_unbudgeted(
+        f in formula_strategy(8),
+        decisions in prop::collection::vec(dimacs_lit(8), 1..6),
+    ) {
+        let (Some((mut db_a, mut a)), Some((mut db_b, mut b))) =
+            (setup_watched(&f), setup_watched(&f))
+        else {
+            return Ok(());
+        };
+        let mut fuel = Fuel::unlimited();
+        let ca = a.propagate(&mut db_a);
+        let cb = propagate_with_ample_fuel(&mut b, &mut db_b, &mut fuel);
+        prop_assert_eq!(ca.is_some(), cb.is_some());
+        if ca.is_some() {
+            return Ok(());
+        }
+        for d in decisions {
+            let lit = Lit::from_dimacs(d);
+            if !a.assignment().is_unassigned(lit) {
+                continue;
+            }
+            a.decide(lit);
+            b.decide(lit);
+            let ca = a.propagate(&mut db_a);
+            let cb = propagate_with_ample_fuel(&mut b, &mut db_b, &mut fuel);
+            prop_assert_eq!(ca.is_some(), cb.is_some(), "budgeted parity after {}", d);
+            if ca.is_some() {
+                break;
+            }
+            for v in 0..f.num_vars() {
+                let l = Var::new(v as u32).positive();
+                prop_assert_eq!(a.value(l), b.value(l), "budgeted disagrees on {}", l);
+            }
         }
     }
 }

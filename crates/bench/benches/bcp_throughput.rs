@@ -1,14 +1,12 @@
 //! BCP engine comparison: the two-watched-literal scheme against the
 //! counting baseline, on formulas with long clauses (the §6 observation:
 //! watched literals are especially effective on conflict-clause proofs,
-//! which contain many long clauses). The `arena` series is the same
-//! watched-literal algorithm over the flat clause arena with
-//! blocking-literal watches — a layout ablation, not an algorithm change.
+//! which contain many long clauses), with SATO's head-tail lists as the
+//! historical middle step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use satverify::bcp::{
-    ArenaWatchedPropagator, Attach, ClauseArena, ClauseDb, CountingPropagator,
-    HeadTailPropagator, Propagator, WatchedPropagator,
+    Attach, ClauseDb, CountingPropagator, HeadTailPropagator, WatchedPropagator,
 };
 use satverify::cnf::{CnfFormula, Lit, Var};
 use satverify::cnfgen::random_ksat;
@@ -57,24 +55,6 @@ fn bench_watched(f: &CnfFormula, schedule: &[Lit]) -> u64 {
         if p.assignment().is_unassigned(d) {
             p.decide(d);
             if p.propagate(&mut db).is_some() {
-                p.backtrack_to(p.decision_level() - 1);
-            }
-        }
-    }
-    p.num_clause_visits()
-}
-
-fn bench_arena(f: &CnfFormula, schedule: &[Lit]) -> u64 {
-    let mut db = ClauseArena::from_formula(f);
-    let mut p = ArenaWatchedPropagator::new(f.num_vars());
-    let bulk = p.attach_all(&mut db);
-    for (r, l) in bulk.units {
-        let _ = p.enqueue_propagated(l, r);
-    }
-    for &d in schedule {
-        if p.assignment().is_unassigned(d) {
-            p.decide(d);
-            if Propagator::propagate(&mut p, &mut db).is_some() {
                 p.backtrack_to(p.decision_level() - 1);
             }
         }
@@ -131,11 +111,6 @@ fn bcp_benchmarks(c: &mut Criterion) {
             BenchmarkId::new("watched", num_vars),
             &num_vars,
             |b, _| b.iter(|| bench_watched(&f, &schedule)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("arena", num_vars),
-            &num_vars,
-            |b, _| b.iter(|| bench_arena(&f, &schedule)),
         );
         group.bench_with_input(
             BenchmarkId::new("head_tail", num_vars),

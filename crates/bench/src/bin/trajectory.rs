@@ -23,10 +23,7 @@
 use std::process::ExitCode;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use satverify::bcp::{
-    ArenaWatchedPropagator, Attach, ClauseArena, ClauseDb, CountingPropagator,
-    Propagator, WatchedPropagator,
-};
+use satverify::bcp::{Attach, ClauseDb, CountingPropagator, WatchedPropagator};
 use satverify::cdcl::{solve, SolverConfig};
 use satverify::cnf::{CnfFormula, Lit, Var};
 use satverify::cnfgen::{bmc_counter, pigeonhole, random_ksat};
@@ -293,24 +290,6 @@ fn bcp_watched(f: &CnfFormula, schedule: &[Lit]) -> u64 {
     p.num_clause_visits()
 }
 
-fn bcp_arena(f: &CnfFormula, schedule: &[Lit]) -> u64 {
-    let mut db = ClauseArena::from_formula(f);
-    let mut p = ArenaWatchedPropagator::new(f.num_vars());
-    let bulk = p.attach_all(&mut db);
-    for (r, l) in bulk.units {
-        let _ = p.enqueue_propagated(l, r);
-    }
-    for &d in schedule {
-        if p.assignment().is_unassigned(d) {
-            p.decide(d);
-            if p.propagate(&mut db).is_some() {
-                p.backtrack_to(p.decision_level() - 1);
-            }
-        }
-    }
-    p.num_clause_visits()
-}
-
 fn bcp_counting(f: &CnfFormula, schedule: &[Lit]) -> u64 {
     let db = ClauseDb::from_formula(f);
     let mut p = CountingPropagator::new(f.num_vars());
@@ -337,9 +316,6 @@ fn record_bcp(recorder: &mut Recorder, smoke: bool) {
     let schedule = bcp_decisions(num_vars);
     recorder.measure(&format!("bcp.watched.{num_vars}"), || {
         std::hint::black_box(bcp_watched(&f, &schedule));
-    });
-    recorder.measure(&format!("bcp.arena.{num_vars}"), || {
-        std::hint::black_box(bcp_arena(&f, &schedule));
     });
     recorder.measure(&format!("bcp.counting.{num_vars}"), || {
         std::hint::black_box(bcp_counting(&f, &schedule));
@@ -395,8 +371,8 @@ fn record_verification(recorder: &mut Recorder, smoke: bool) {
 
 /// The `drat.backward.*` family: the interop path end-to-end on a
 /// pinned pigeonhole instance — parse the text encoding, run the
-/// backward checker on both propagation engines, and replay the
-/// captured LRAT certificate under the strict checker.
+/// backward checker, and replay the captured LRAT certificate under the
+/// strict checker.
 fn record_drat(recorder: &mut Recorder, smoke: bool) {
     let holes = if smoke { 5 } else { 6 };
     let tag = format!("php{holes}");
@@ -406,20 +382,22 @@ fn record_drat(recorder: &mut Recorder, smoke: bool) {
     recorder.measure(&format!("drat.parse_text.{tag}"), || {
         std::hint::black_box(parse_drat(text.as_bytes()).expect("parses"));
     });
-    let backward = |choice: PropagatorChoice| {
+    let backward = || {
         let harness = Harness::default();
-        match verify_drat_backward_harnessed(&formula, &drat, &harness, choice) {
+        match verify_drat_backward_harnessed(
+            &formula,
+            &drat,
+            &harness,
+            PropagatorChoice::Watched,
+        ) {
             DratOutcome::Verified(v) => *v,
             other => panic!("pinned proof must verify: {other:?}"),
         }
     };
     recorder.measure(&format!("drat.backward.watched.{tag}"), || {
-        std::hint::black_box(backward(PropagatorChoice::Watched));
+        std::hint::black_box(backward());
     });
-    recorder.measure(&format!("drat.backward.arena.{tag}"), || {
-        std::hint::black_box(backward(PropagatorChoice::ArenaWatched));
-    });
-    let lrat = backward(PropagatorChoice::Watched).lrat;
+    let lrat = backward().lrat;
     recorder.measure(&format!("drat.lrat_check.{tag}"), || {
         std::hint::black_box(check_lrat(&formula, &lrat).expect("replays"));
     });
@@ -451,10 +429,16 @@ fn record_stream(recorder: &mut Recorder, smoke: bool) {
         chunk_bytes: 8192,
         checkpoint: None,
     };
-    let run = |engine: PropagatorChoice| {
+    let run = || {
         let harness = Harness::default();
         match proofver::verify_drat_stream_bytes(
-            &formula, &bytes, &harness, &config, engine, None, None,
+            &formula,
+            &bytes,
+            &harness,
+            &config,
+            PropagatorChoice::Watched,
+            None,
+            None,
         ) {
             proofver::StreamOutcome::Verified(v) => {
                 assert!(
@@ -469,10 +453,7 @@ fn record_stream(recorder: &mut Recorder, smoke: bool) {
         }
     };
     recorder.measure(&format!("stream.backward.watched.{tag}"), || {
-        std::hint::black_box(run(PropagatorChoice::Watched));
-    });
-    recorder.measure(&format!("stream.backward.arena.{tag}"), || {
-        std::hint::black_box(run(PropagatorChoice::ArenaWatched));
+        std::hint::black_box(run());
     });
     // the forward index-and-replay pass alone, to watch its share
     recorder.measure(&format!("stream.backward.index.{tag}"), || {

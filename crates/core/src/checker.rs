@@ -17,10 +17,7 @@
 use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
-use bcp::{
-    ArenaWatchedPropagator, BudgetedPropagation, ClauseRef, ClauseStore, Conflict, Fuel,
-    Propagator, PropagatorChoice, Stopped, WatchedPropagator,
-};
+use bcp::{BudgetedPropagation, ClauseRef, Conflict, Fuel, Stopped};
 use cnf::{Clause, CnfFormula, Lit};
 
 use crate::core_extract::UnsatCore;
@@ -114,28 +111,6 @@ pub fn verify_all(
     Checker::new(formula, proof).run(CheckMode::All)
 }
 
-/// [`verify`]-family entry point with an explicit BCP engine: runs the
-/// selected procedure on the watched (`ClauseDb`) or arena-watched
-/// (`ClauseArena` + blocking literals) engine. Verdicts, marks, and
-/// cores are identical across engines.
-///
-/// # Errors
-///
-/// See [`verify`].
-pub fn verify_with_engine(
-    formula: &CnfFormula,
-    proof: &ConflictClauseProof,
-    mode: CheckMode,
-    engine: PropagatorChoice,
-) -> Result<Verification, VerifyError> {
-    match engine {
-        PropagatorChoice::Watched => Checker::new(formula, proof).run(mode),
-        PropagatorChoice::ArenaWatched => {
-            Checker::<ArenaWatchedPropagator>::with_engine(formula, proof).run(mode)
-        }
-    }
-}
-
 /// Verifies that `F ∪ F* ⊨ target`: each conflict clause of `proof` is
 /// checked as in [`verify`], and the *target* clause takes the place of
 /// the final refutation — its negation, propagated over the formula plus
@@ -201,45 +176,30 @@ pub(crate) enum WorkerOutcome {
 /// The proof checker, exposed for callers that want to reuse the arena
 /// across modes or inspect intermediate state.
 ///
-/// Generic over the BCP engine (watched over a header-table `ClauseDb`
-/// by default, or the arena-watched engine via
-/// [`Checker::with_engine`]); every engine produces identical verdicts,
-/// marks, and cores — only the propagation cost differs.
-///
 /// The checks and the marking are the shared backward kernel's. What
 /// is native here is the clause layout: `F` is propagated once into a
 /// persistent root level, and the proof is a stack of clauses behind
 /// an activity horizon that each check moves, instead of a live set
 /// maintained by deletions.
 #[derive(Debug)]
-pub struct Checker<'a, P: Propagator = WatchedPropagator> {
+pub struct Checker<'a> {
     formula: &'a CnfFormula,
     proof: &'a ConflictClauseProof,
-    kernel: Kernel<P>,
+    kernel: Kernel,
     /// Unit clauses of `F`, enqueued once at the root level.
     root_units: Vec<(ClauseRef, Lit)>,
     num_original: usize,
 }
 
 impl<'a> Checker<'a> {
-    /// Builds the checker arena with the default watched-literal engine:
-    /// the original clauses first, then the conflict clauses in
-    /// chronological order.
+    /// Builds the checker arena: the original clauses first, then the
+    /// conflict clauses in chronological order.
     #[must_use]
     pub fn new(formula: &'a CnfFormula, proof: &'a ConflictClauseProof) -> Self {
-        Checker::with_engine(formula, proof)
-    }
-}
-
-impl<'a, P: Propagator> Checker<'a, P> {
-    /// Builds the checker arena over the engine `P`: the original
-    /// clauses first, then the conflict clauses in chronological order.
-    #[must_use]
-    pub fn with_engine(formula: &'a CnfFormula, proof: &'a ConflictClauseProof) -> Self {
         let num_vars = formula
             .num_vars()
             .max(proof.max_var().map_or(0, |v| v.idx() + 1));
-        let mut kernel = Kernel::<P>::new(num_vars, Policy::Rup);
+        let mut kernel = Kernel::new(num_vars, Policy::Rup);
 
         // Only F is attached here; proof clauses are attached by the
         // walk *after* the root propagation, so the lazy watch cleanup

@@ -15,9 +15,7 @@
 //! walking back resurrect their clause, additions deactivate and check
 //! theirs.
 
-use bcp::{
-    ArenaWatchedPropagator, ClauseRef, Propagator, PropagatorChoice, WatchedPropagator,
-};
+use bcp::ClauseRef;
 use cnf::{Clause, CnfFormula};
 
 use crate::core_extract::UnsatCore;
@@ -112,38 +110,9 @@ impl AnnotatedProof {
         &self,
         formula: &CnfFormula,
     ) -> Result<AnnotatedVerification, VerifyError> {
-        self.verify_with_engine(formula, PropagatorChoice::Watched)
-    }
-
-    /// [`AnnotatedProof::verify`] on an explicitly chosen BCP engine.
-    ///
-    /// The backward walk *undeletes* clauses, so the arena engine runs
-    /// without compaction here (compaction would drop garbage bodies the
-    /// walk still needs to resurrect).
-    ///
-    /// # Errors
-    ///
-    /// See [`AnnotatedProof::verify`].
-    pub fn verify_with_engine(
-        &self,
-        formula: &CnfFormula,
-        engine: PropagatorChoice,
-    ) -> Result<AnnotatedVerification, VerifyError> {
-        match engine {
-            PropagatorChoice::Watched => self.check::<WatchedPropagator>(formula),
-            PropagatorChoice::ArenaWatched => {
-                self.check::<ArenaWatchedPropagator>(formula)
-            }
-        }
-    }
-
-    /// Runs the backward walk shared with DRAT checking: RUP only, no
-    /// certificate, deletions resolved by reference instead of content.
-    fn check<P: Propagator>(
-        &self,
-        formula: &CnfFormula,
-    ) -> Result<AnnotatedVerification, VerifyError> {
-        let mut walk = BackwardWalk::<P, _>::new(formula, self, Policy::Rup, false);
+        // the backward walk shared with DRAT checking: RUP only, no
+        // certificate, deletions resolved by reference instead of content
+        let mut walk = BackwardWalk::new(formula, self, Policy::Rup, false);
         for event in &self.events {
             match *event {
                 ProofEvent::Add(ref clause) => {

@@ -25,10 +25,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::time::Instant;
 
-use bcp::{
-    ArenaWatchedPropagator, ClauseRef, ClauseStore, Fuel, Propagator, PropagatorChoice,
-    Stopped, WatchedPropagator,
-};
+use bcp::{ClauseRef, Fuel, Stopped};
 use cnf::{Clause, CnfFormula, Lit, Var};
 
 use crate::binary::{read_varint, write_varint, VarintFault};
@@ -532,8 +529,22 @@ pub enum DratOutcome {
     },
 }
 
-/// Verifies a DRAT proof backward with unlimited resources on the
-/// default engine.
+/// The BCP engine a DRAT check runs on. There is one: the
+/// two-watched-literal [`bcp::WatchedPropagator`].
+///
+/// The type is kept only because the verdict benchmark (`verdictbench/`,
+/// a package of its own) still passes it to
+/// [`verify_drat_backward_harnessed`] and
+/// [`verify_drat_stream`](crate::verify_drat_stream). Both ignore it, as
+/// does [`verify_drat_stream_bytes`](crate::verify_drat_stream_bytes),
+/// which takes the same arguments as `verify_drat_stream`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum PropagatorChoice {
+    /// Two-watched-literal engine over a [`bcp::ClauseDb`].
+    Watched,
+}
+
+/// Verifies a DRAT proof backward with unlimited resources.
 ///
 /// # Errors
 ///
@@ -556,36 +567,16 @@ pub fn verify_drat_backward(
     }
 }
 
-/// Verifies a DRAT proof backward under a [`Harness`] on the chosen
-/// engine.
-///
-/// Like [`crate::deletion::AnnotatedProof::verify_with_engine`], the
-/// arena engine runs *without* compaction: the backward walk resurrects
-/// deleted clauses, so their bodies must survive deletion.
+/// Verifies a DRAT proof backward under a [`Harness`]: RAT allowed,
+/// LRAT certificate recorded. `_engine` has one value and is ignored
+/// (see [`PropagatorChoice`]).
 pub fn verify_drat_backward_harnessed(
     formula: &CnfFormula,
     proof: &DratProof,
     harness: &Harness,
-    engine: PropagatorChoice,
+    _engine: PropagatorChoice,
 ) -> DratOutcome {
-    match engine {
-        PropagatorChoice::Watched => {
-            check_drat::<WatchedPropagator>(formula, proof, harness)
-        }
-        PropagatorChoice::ArenaWatched => {
-            check_drat::<ArenaWatchedPropagator>(formula, proof, harness)
-        }
-    }
-}
-
-/// Checks a DRAT proof on the engine `P`: RAT allowed, certificate
-/// recorded.
-fn check_drat<P: Propagator>(
-    formula: &CnfFormula,
-    proof: &DratProof,
-    harness: &Harness,
-) -> DratOutcome {
-    match load_drat::<P>(formula, proof) {
+    match load_drat(formula, proof) {
         Ok(walk) => walk.run(harness),
         Err(error) => DratOutcome::Rejected { step: None, error },
     }
@@ -593,10 +584,10 @@ fn check_drat<P: Propagator>(
 
 /// Loads a DRAT proof into a backward walk, resolving each deletion by
 /// content to the most recently added live copy.
-fn load_drat<'p, P: Propagator>(
+fn load_drat<'p>(
     formula: &CnfFormula,
     proof: &'p DratProof,
-) -> Result<BackwardWalk<'p, P, DratProof>, DratError> {
+) -> Result<BackwardWalk<'p, DratProof>, DratError> {
     let mut walk = BackwardWalk::new(formula, proof, Policy::Rat, true);
     // content → stack of live refs, most recent last
     let mut live: HashMap<Vec<u32>, Vec<ClauseRef>> = HashMap::new();
@@ -684,8 +675,8 @@ impl WalkSource for DratProof {
 /// way a deletion names its clause differs between the proof types, so
 /// the caller loads the steps in order with [`BackwardWalk::add`] and
 /// [`BackwardWalk::delete`].
-pub(crate) struct BackwardWalk<'p, P: Propagator, S: WalkSource> {
-    kernel: Kernel<P>,
+pub(crate) struct BackwardWalk<'p, S: WalkSource> {
+    kernel: Kernel,
     source: &'p S,
     /// Store ref of each addition step (in proof order).
     add_refs: Vec<ClauseRef>,
@@ -696,7 +687,7 @@ pub(crate) struct BackwardWalk<'p, P: Propagator, S: WalkSource> {
     num_original: usize,
 }
 
-impl<'p, P: Propagator, S: WalkSource> BackwardWalk<'p, P, S> {
+impl<'p, S: WalkSource> BackwardWalk<'p, S> {
     /// Loads the formula; with `certify`, the walk records LRAT hints.
     pub(crate) fn new(formula: &CnfFormula, source: &'p S, policy: Policy, certify: bool) -> Self {
         let added = || (0..source.num_steps()).filter_map(|pos| source.added(pos));
@@ -1151,25 +1142,6 @@ mod tests {
         let v = verify_drat_backward(&xor_square(), &p).expect("valid");
         assert!(!v.marked_adds[0]);
         assert_eq!(v.num_checked, 2);
-    }
-
-    #[test]
-    fn arena_engine_agrees_with_watched() {
-        let p = proof_of("2 0\nd 1 2 0\n-2 0\n0\n");
-        let w = verify_drat_backward(&xor_square(), &p).expect("watched");
-        let outcome = verify_drat_backward_harnessed(
-            &xor_square(),
-            &p,
-            &Harness::default(),
-            PropagatorChoice::ArenaWatched,
-        );
-        match outcome {
-            DratOutcome::Verified(a) => {
-                assert_eq!(a.marked_adds, w.marked_adds);
-                assert_eq!(a.core.len(), w.core.len());
-            }
-            other => panic!("arena disagrees: {other:?}"),
-        }
     }
 
     // -- budgets ------------------------------------------------------

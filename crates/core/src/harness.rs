@@ -768,6 +768,14 @@ impl Checkpoint {
         if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
+        let kind = field("kind")?
+            .as_str()
+            .ok_or(CheckpointError::Malformed("field `kind` is not a string".into()))?;
+        if kind != "proofver-checkpoint" {
+            return Err(CheckpointError::Malformed(format!(
+                "not a native checkpoint (kind `{kind}`)"
+            )));
+        }
         let mode_text = field("mode")?
             .as_str()
             .ok_or(CheckpointError::Malformed("field `mode` is not a string".into()))?;
@@ -909,38 +917,7 @@ pub fn verify_harnessed(
     mode: CheckMode,
     harness: &Harness,
 ) -> Outcome {
-    verify_harnessed_with_engine(
-        formula,
-        proof,
-        mode,
-        harness,
-        bcp::PropagatorChoice::Watched,
-    )
-}
-
-/// [`verify_harnessed`] on an explicitly chosen BCP engine.
-///
-/// Checkpoint caveat: a checkpoint's `spent_propagations` /
-/// `spent_clause_visits` are engine-specific (the engines do different
-/// amounts of work per check), so a run should be resumed on the engine
-/// that produced the checkpoint.
-#[must_use]
-pub fn verify_harnessed_with_engine(
-    formula: &CnfFormula,
-    proof: &ConflictClauseProof,
-    mode: CheckMode,
-    harness: &Harness,
-    engine: bcp::PropagatorChoice,
-) -> Outcome {
-    match engine {
-        bcp::PropagatorChoice::Watched => {
-            Checker::new(formula, proof).walk(mode, harness, None, None)
-        }
-        bcp::PropagatorChoice::ArenaWatched => {
-            Checker::<bcp::ArenaWatchedPropagator>::with_engine(formula, proof)
-                .walk(mode, harness, None, None)
-        }
-    }
+    Checker::new(formula, proof).walk(mode, harness, None, None)
 }
 
 /// Resumes an interrupted verification run from `checkpoint`. The final
@@ -958,40 +935,8 @@ pub fn resume_verification(
     checkpoint: &Checkpoint,
     harness: &Harness,
 ) -> Result<Outcome, CheckpointError> {
-    resume_verification_with_engine(
-        formula,
-        proof,
-        checkpoint,
-        harness,
-        bcp::PropagatorChoice::Watched,
-    )
-}
-
-/// [`resume_verification`] on an explicitly chosen BCP engine. Use the
-/// engine that produced the checkpoint — the spent-fuel counters it
-/// carries are engine-specific.
-///
-/// # Errors
-///
-/// See [`resume_verification`].
-pub fn resume_verification_with_engine(
-    formula: &CnfFormula,
-    proof: &ConflictClauseProof,
-    checkpoint: &Checkpoint,
-    harness: &Harness,
-    engine: bcp::PropagatorChoice,
-) -> Result<Outcome, CheckpointError> {
     checkpoint.validate(formula, proof)?;
-    let resume = Some(checkpoint);
-    Ok(match engine {
-        bcp::PropagatorChoice::Watched => {
-            Checker::new(formula, proof).walk(checkpoint.mode, harness, resume, None)
-        }
-        bcp::PropagatorChoice::ArenaWatched => {
-            Checker::<bcp::ArenaWatchedPropagator>::with_engine(formula, proof)
-                .walk(checkpoint.mode, harness, resume, None)
-        }
-    })
+    Ok(Checker::new(formula, proof).walk(checkpoint.mode, harness, Some(checkpoint), None))
 }
 
 #[cfg(test)]
@@ -1088,6 +1033,22 @@ mod tests {
             Checkpoint::from_json(&obs::json::Json::object()),
             Err(CheckpointError::Malformed(_))
         ));
+        // a streaming checkpoint is named as such, not as a field gap
+        let mut doc = ckpt.to_json();
+        if let obs::json::Json::Object(pairs) = &mut doc {
+            pairs.retain(|(k, _)| k != "mode");
+            for (k, v) in pairs.iter_mut() {
+                if k == "kind" {
+                    *v = obs::json::Json::from("proofver-stream-checkpoint");
+                }
+            }
+        }
+        assert_eq!(
+            Checkpoint::from_json(&doc),
+            Err(CheckpointError::Malformed(
+                "not a native checkpoint (kind `proofver-stream-checkpoint`)".into()
+            ))
+        );
     }
 
     #[test]

@@ -23,8 +23,8 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use bcp::{
-    Attach, BudgetedPropagation, ClauseRef, ClauseStore, Conflict, Fuel, Propagator, Reason,
-    Stopped,
+    Attach, BudgetedPropagation, ClauseDb, ClauseRef, Conflict, Fuel, Reason, Stopped,
+    WatchedPropagator,
 };
 use cnf::{Lit, Var};
 
@@ -100,9 +100,9 @@ fn obs_handles() -> &'static ObsHandles {
 
 /// Clause store, engine, and marks of one backward walk.
 #[derive(Debug)]
-pub(crate) struct Kernel<P: Propagator> {
-    pub(crate) db: P::Store,
-    pub(crate) prop: P,
+pub(crate) struct Kernel {
+    pub(crate) db: ClauseDb,
+    pub(crate) prop: WatchedPropagator,
     /// Unit clauses (they cannot be watched; each check enqueues the
     /// live ones explicitly).
     pub(crate) units: Vec<(ClauseRef, Lit)>,
@@ -120,11 +120,11 @@ pub(crate) struct Kernel<P: Propagator> {
     horizon: usize,
 }
 
-impl<P: Propagator> Kernel<P> {
+impl Kernel {
     pub(crate) fn new(num_vars: usize, policy: Policy) -> Self {
         Kernel {
-            db: P::Store::new(),
-            prop: P::new(num_vars),
+            db: ClauseDb::new(),
+            prop: WatchedPropagator::new(num_vars),
             units: Vec::new(),
             empties: Vec::new(),
             marked: Vec::new(),

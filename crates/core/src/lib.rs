@@ -71,10 +71,8 @@ mod trim;
 pub use binary::{
     decode_proof, encode_proof, encode_proof_to_vec, DecodeProofError, MAGIC,
 };
-pub use bcp::PropagatorChoice;
 pub use checker::{
-    verify, verify_all, verify_implication, verify_with_engine, CheckMode,
-    Checker, Verification,
+    verify, verify_all, verify_implication, CheckMode, Checker, Verification,
 };
 pub use core_extract::UnsatCore;
 pub use deletion::{
@@ -84,7 +82,7 @@ pub use drat::{
     drat_to_string, encode_drat, encode_drat_to_vec, is_binary_drat, parse_drat,
     parse_drat_binary, parse_drat_text, trim_drat, verify_drat_backward, write_drat,
     verify_drat_backward_harnessed, DratError, DratOutcome, DratProof, DratStep,
-    DratStepKind, DratVerification, ParseDratError,
+    DratStepKind, DratVerification, ParseDratError, PropagatorChoice,
 };
 pub use error::VerifyError;
 pub use lrat::{
@@ -93,16 +91,11 @@ pub use lrat::{
     LratError, LratLine, LratProof, LratStats, ParseLratError,
 };
 pub use harness::{
-    formula_fingerprint, proof_fingerprint, resume_verification,
-    resume_verification_with_engine, verify_harnessed,
-    verify_harnessed_with_engine, Budget, CancelToken, Checkpoint,
+    formula_fingerprint, proof_fingerprint, resume_verification, verify_harnessed, Budget, CancelToken, Checkpoint,
     CheckpointError, ExhaustReason, FaultPlan, Gate, Harness, Outcome, Progress,
     DEFAULT_SLICE_RETRIES,
 };
-pub use parallel::{
-    verify_all_parallel, verify_all_parallel_harnessed,
-    verify_all_parallel_harnessed_with_engine,
-};
+pub use parallel::{verify_all_parallel, verify_all_parallel_harnessed};
 pub use format::{
     parse_proof, parse_proof_str, to_proof_string, write_proof, ParseProofError,
 };

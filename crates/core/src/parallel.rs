@@ -19,7 +19,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use bcp::{ArenaWatchedPropagator, Propagator, PropagatorChoice, WatchedPropagator};
 use cnf::CnfFormula;
 
 use crate::checker::{CheckMode, Checker, Verification, WorkerOutcome};
@@ -117,48 +116,6 @@ pub fn verify_all_parallel_harnessed(
     num_threads: usize,
     harness: &Harness,
 ) -> Outcome {
-    parallel_harnessed_generic::<WatchedPropagator>(
-        formula,
-        proof,
-        num_threads,
-        harness,
-    )
-}
-
-/// [`verify_all_parallel_harnessed`] on an explicitly chosen BCP engine.
-/// Every worker (and the sequential fallback) runs the same engine.
-#[must_use]
-pub fn verify_all_parallel_harnessed_with_engine(
-    formula: &CnfFormula,
-    proof: &ConflictClauseProof,
-    num_threads: usize,
-    harness: &Harness,
-    engine: PropagatorChoice,
-) -> Outcome {
-    match engine {
-        PropagatorChoice::Watched => parallel_harnessed_generic::<WatchedPropagator>(
-            formula,
-            proof,
-            num_threads,
-            harness,
-        ),
-        PropagatorChoice::ArenaWatched => {
-            parallel_harnessed_generic::<ArenaWatchedPropagator>(
-                formula,
-                proof,
-                num_threads,
-                harness,
-            )
-        }
-    }
-}
-
-fn parallel_harnessed_generic<P: Propagator>(
-    formula: &CnfFormula,
-    proof: &ConflictClauseProof,
-    num_threads: usize,
-    harness: &Harness,
-) -> Outcome {
     let start = Instant::now();
     let run_span = obs::span!("proofver.par.verify");
     let num_threads = num_threads.max(1).min(proof.len().max(1));
@@ -169,7 +126,7 @@ fn parallel_harnessed_generic<P: Propagator>(
     // Memory cap: the run needs one arena copy per worker plus the
     // terminal checker's. If that does not fit but a single copy does,
     // degrade to a sequential pass instead of failing.
-    let probe = Checker::<P>::with_engine(formula, proof);
+    let probe = Checker::new(formula, proof);
     let arena_bytes = probe.arena_bytes();
     let copies = num_threads as u64 + 1;
     if arena_bytes.saturating_mul(copies) > budget.max_arena_bytes {
@@ -247,7 +204,7 @@ fn parallel_harnessed_generic<P: Propagator>(
     let run_slice = |slice_index: usize, steps: Vec<usize>| {
         let _span = obs::span!("proofver.par.worker");
         let starved = harness.faults.before_slice(slice_index);
-        Checker::<P>::with_engine(formula, proof)
+        Checker::new(formula, proof)
             .check_slice(steps, false, budget, cancel, deadline, starved)
     };
     let attempts: Vec<std::thread::Result<WorkerOutcome>> =
@@ -286,9 +243,7 @@ fn parallel_harnessed_generic<P: Propagator>(
                             par_obs_handles().degraded.inc();
                         }
                         run_span.finish();
-                        return sequential_fallback::<P>(
-                            formula, proof, harness, None,
-                        );
+                        return sequential_fallback(formula, proof, harness, None);
                     }
                 }
             }
@@ -394,14 +349,13 @@ fn retry_slice(
 /// pass without fault injection. If even that panics, the result is
 /// `Exhausted(WorkerFailure)` — the run could not complete, but no
 /// verdict is fabricated.
-fn sequential_fallback<'f, P: Propagator>(
+fn sequential_fallback<'f>(
     formula: &'f CnfFormula,
     proof: &'f ConflictClauseProof,
     harness: &Harness,
-    prebuilt: Option<Checker<'f, P>>,
+    prebuilt: Option<Checker<'f>>,
 ) -> Outcome {
-    let checker =
-        prebuilt.unwrap_or_else(|| Checker::<P>::with_engine(formula, proof));
+    let checker = prebuilt.unwrap_or_else(|| Checker::new(formula, proof));
     catch_unwind(AssertUnwindSafe(|| {
         checker.walk(CheckMode::All, harness, None, None)
     }))

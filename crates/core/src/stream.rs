@@ -37,16 +37,14 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use bcp::{
-    ArenaWatchedPropagator, ClauseRef, ClauseStore, Fuel, Propagator, PropagatorChoice,
-    Stopped, WatchedPropagator,
-};
+use bcp::{ClauseRef, Fuel, Stopped};
 use cnf::{Clause, CnfFormula, Lit};
 
 use crate::binary::{read_varint, VarintFault};
 use crate::core_extract::UnsatCore;
 use crate::drat::{
     content_key, DratError, DratProof, DratStep, DratStepKind, ParseDratError,
+    PropagatorChoice,
 };
 use crate::harness::{
     atomic_write, formula_fingerprint, marks_from_hex, marks_to_hex,
@@ -942,14 +940,15 @@ impl StreamCheckpoint {
 /// `resume` continues a run from a [`StreamCheckpoint`]; `events`
 /// receives window-lifecycle events (`stream.*`). See the
 /// [module docs](self) for the verification scheme and the meaning of
-/// each [`StreamOutcome`] variant.
+/// each [`StreamOutcome`] variant. `_engine` has one value and is
+/// ignored (see [`PropagatorChoice`]).
 #[must_use]
 pub fn verify_drat_stream(
     formula: &CnfFormula,
     proof_path: &Path,
     harness: &Harness,
     config: &StreamConfig,
-    engine: PropagatorChoice,
+    _engine: PropagatorChoice,
     resume: Option<&StreamCheckpoint>,
     events: Option<&obs::EventLog>,
 ) -> StreamOutcome {
@@ -962,52 +961,23 @@ pub fn verify_drat_stream(
             })
         }
     };
-    dispatch(formula, file, harness, config, engine, resume, events)
+    run_stream(formula, file, harness, config, resume, events)
 }
 
 /// [`verify_drat_stream`] over an in-memory byte buffer — same windowed
-/// machinery, same outcomes; used by tests to prove byte-for-byte parity
-/// with the file path.
+/// machinery, same outcomes, same arguments; used by tests to prove
+/// byte-for-byte parity with the file path.
 #[must_use]
 pub fn verify_drat_stream_bytes(
     formula: &CnfFormula,
     proof: &[u8],
     harness: &Harness,
     config: &StreamConfig,
-    engine: PropagatorChoice,
+    _engine: PropagatorChoice,
     resume: Option<&StreamCheckpoint>,
     events: Option<&obs::EventLog>,
 ) -> StreamOutcome {
-    dispatch(
-        formula,
-        std::io::Cursor::new(proof),
-        harness,
-        config,
-        engine,
-        resume,
-        events,
-    )
-}
-
-fn dispatch<R: Read + Seek>(
-    formula: &CnfFormula,
-    reader: R,
-    harness: &Harness,
-    config: &StreamConfig,
-    engine: PropagatorChoice,
-    resume: Option<&StreamCheckpoint>,
-    events: Option<&obs::EventLog>,
-) -> StreamOutcome {
-    match engine {
-        PropagatorChoice::Watched => run_stream::<R, WatchedPropagator>(
-            formula, reader, harness, config, resume, events,
-        ),
-        PropagatorChoice::ArenaWatched => {
-            run_stream::<R, ArenaWatchedPropagator>(
-                formula, reader, harness, config, resume, events,
-            )
-        }
-    }
+    run_stream(formula, std::io::Cursor::new(proof), harness, config, resume, events)
 }
 
 fn emit(
@@ -1044,8 +1014,8 @@ struct WalkState {
 
 /// Stores a clause in `kernel` with the given mark, attached when
 /// `live` (a dead one is stored deleted, keeping refs dense).
-fn load<P: Propagator>(
-    kernel: &mut Kernel<P>,
+fn load(
+    kernel: &mut Kernel,
     lits: &[Lit],
     learned: bool,
     live: bool,
@@ -1065,8 +1035,8 @@ fn load<P: Propagator>(
 /// over the live clauses, plus the content-addressed stacks pairing
 /// backward-walk crossings with the forward lifecycle that pass 1
 /// replayed.
-struct StreamChecker<P: Propagator> {
-    kernel: Kernel<P>,
+struct StreamChecker {
+    kernel: Kernel,
     /// Occurrence-list entries since the last rebuild (residency model).
     occ_entries: u64,
     /// content key → stack of `(global seq, ref)`, most recent last.
@@ -1079,7 +1049,7 @@ struct StreamChecker<P: Propagator> {
     trailing_empty: Option<ClauseRef>,
 }
 
-impl<P: Propagator> StreamChecker<P> {
+impl StreamChecker {
     /// Builds the resident state from the replayed live set. Formula
     /// clauses always occupy dense refs `0..formula_clauses` (dead ones
     /// are added then deleted, never attached); live proof clauses
@@ -1092,7 +1062,7 @@ impl<P: Propagator> StreamChecker<P> {
         num_vars: usize,
     ) -> Self {
         let num_original = formula.num_clauses();
-        let mut kernel = Kernel::<P>::new(num_vars, Policy::Rat);
+        let mut kernel = Kernel::new(num_vars, Policy::Rat);
         let mut occ_entries = 0u64;
 
         // partition the live set: formula instances keep their index,
@@ -1256,9 +1226,9 @@ impl<P: Propagator> StreamChecker<P> {
     /// and every stack is remapped.
     fn rebuild(&mut self) {
         let old = &self.kernel;
-        let mut kernel = Kernel::<P>::new(self.num_vars, Policy::Rat);
+        let mut kernel = Kernel::new(self.num_vars, Policy::Rat);
         let mut occ_entries = 0u64;
-        let mut copy = |kernel: &mut Kernel<P>, r: ClauseRef| {
+        let mut copy = |kernel: &mut Kernel, r: ClauseRef| {
             let lits = old.db.lits(r);
             let live = !old.db.is_deleted(r);
             if live {
@@ -1417,7 +1387,7 @@ fn parse_window(
 // The driver
 // ---------------------------------------------------------------------
 
-fn run_stream<R: Read + Seek, P: Propagator>(
+fn run_stream<R: Read + Seek>(
     formula: &CnfFormula,
     inner: R,
     harness: &Harness,
@@ -1542,7 +1512,7 @@ fn run_stream<R: Read + Seek, P: Propagator>(
         }
     }
 
-    let mut checker = StreamChecker::<P>::build(
+    let mut checker = StreamChecker::build(
         formula,
         replay,
         resume.map(|c| c.marked_formula.as_slice()),

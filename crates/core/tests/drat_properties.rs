@@ -1,14 +1,12 @@
 //! Differential property tests for the DRAT interop layer: encoding
 //! round-trips, native-proof conversion agreeing with the native
-//! checker, emitted LRAT re-validating under the strict replayer, and
-//! engine parity on the backward pass.
+//! checker, and emitted LRAT re-validating under the strict replayer.
 
 use cnf::CnfFormula;
 use proofver::{
     check_lrat, drat_to_string, encode_drat_to_vec, parse_drat, trim_drat,
-    verify, verify_drat_backward, verify_drat_backward_harnessed,
-    ConflictClauseProof, DratOutcome, DratProof, DratStep, DratStepKind, Harness,
-    PropagatorChoice,
+    verify, verify_drat_backward, ConflictClauseProof, DratProof, DratStep, DratStepKind,
+    Harness, PropagatorChoice,
 };
 use proptest::prelude::*;
 
@@ -109,39 +107,6 @@ proptest! {
         let tv = verify_drat_backward(&f, &trimmed)
             .expect("trimmed proof re-verifies");
         check_lrat(&f, &tv.lrat).expect("trimmed LRAT replays");
-    }
-
-    /// Watched and arena engines mark the same steps and produce the
-    /// same core on the backward pass.
-    #[test]
-    fn engines_agree_on_the_backward_pass(f in formula_strategy(6)) {
-        let Some(trace) =
-            cdcl::solve(&f, cdcl::SolverConfig::default()).into_proof()
-        else {
-            return Ok(());
-        };
-        let native = ConflictClauseProof::new(trace.clauses());
-        if verify(&f, &native).is_err() {
-            return Ok(());
-        }
-        let drat = DratProof::from(&native);
-        let watched = verify_drat_backward(&f, &drat).expect("watched");
-        let arena = match verify_drat_backward_harnessed(
-            &f,
-            &drat,
-            &Harness::default(),
-            PropagatorChoice::ArenaWatched,
-        ) {
-            DratOutcome::Verified(v) => *v,
-            other => {
-                return Err(TestCaseError::fail(format!(
-                    "arena disagrees: {other:?}"
-                )))
-            }
-        };
-        prop_assert_eq!(&watched.marked_adds, &arena.marked_adds);
-        prop_assert_eq!(watched.core.indices(), arena.core.indices());
-        check_lrat(&f, &arena.lrat).expect("arena LRAT replays");
     }
 
     /// A random deletion of a still-live original clause keeps the

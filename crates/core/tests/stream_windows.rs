@@ -64,25 +64,6 @@ fn streaming_core_matches_in_memory_core() {
 }
 
 #[test]
-fn both_engines_agree() {
-    let (formula, proof) = chain_workload(300);
-    let bytes = encode_drat_to_vec(&proof);
-    let harness = Harness::default();
-    for engine in [PropagatorChoice::Watched, PropagatorChoice::ArenaWatched] {
-        let v = expect_verified(verify_drat_stream_bytes(
-            &formula,
-            &bytes,
-            &harness,
-            &tiny_config(),
-            engine,
-            None,
-            None,
-        ));
-        assert_eq!(v.core.len(), 4, "engine {engine} disagreed");
-    }
-}
-
-#[test]
 fn file_and_bytes_paths_agree() {
     let (formula, proof) = chain_workload(400);
     let bytes = encode_drat_to_vec(&proof);

@@ -407,10 +407,9 @@ fn run_paths(case: &Case, k: usize) -> Vec<String> {
     );
 
     let drat = case.drat();
-    for engine in [PropagatorChoice::Watched, PropagatorChoice::ArenaWatched] {
-        let outcome = verify_drat_backward_harnessed(f, &drat, &Harness::default(), engine);
-        push(&format!("drat_{engine}"), drat_line(outcome));
-    }
+    let outcome =
+        verify_drat_backward_harnessed(f, &drat, &Harness::default(), PropagatorChoice::Watched);
+    push("drat_watched", drat_line(outcome));
 
     let bytes = encode_drat_to_vec(&drat);
     for window in [512, 0] {

@@ -17,10 +17,10 @@ use std::time::Duration;
 use cdcl::{LearningScheme, SolverConfig};
 use cnf::{parse_dimacs, write_dimacs, CnfFormula};
 use proofver::{
-    decode_proof, encode_proof, parse_proof, resume_verification_with_engine,
-    verify_all_parallel_harnessed_with_engine, verify_harnessed_with_engine,
-    write_proof, Budget, CheckMode, Checkpoint, CheckpointError,
-    ConflictClauseProof, Harness, Outcome, ProofStats, PropagatorChoice,
+    decode_proof, encode_proof, parse_proof, resume_verification,
+    verify_all_parallel_harnessed, verify_harnessed, write_proof, Budget,
+    CheckMode, Checkpoint, CheckpointError, ConflictClauseProof, Harness,
+    Outcome, ProofStats, PropagatorChoice,
     StreamCheckpoint, StreamConfig, StreamError, StreamOutcome, MAGIC,
 };
 use satverifyd::{
@@ -458,7 +458,6 @@ satverify check — verify a conflict-clause proof of unsatisfiability
 
 USAGE:
     satverify check <cnf> <proof> [--all] [--parallel <n>]
-                    [--engine <watched|arena>]
                     [--proof-format <native|drat>]
                     [--emit-lrat <path>] [--emit-trimmed <path>]
                     [--emit-binary]
@@ -473,11 +472,7 @@ USAGE:
 The proof file may be text or binary (auto-detected). --all checks
 every proof clause (Proof_verification1); the default checks only the
 clauses marked as contributing (Proof_verification2). --parallel <n>
-splits the --all check across n panic-isolated workers. --engine
-selects the BCP clause layout: `watched` (the default, boxed clauses
-with two watched literals) or `arena` (a flat literal arena with
-blocking-literal watches). Both produce identical verdicts; `arena`
-is the faster layout on large proofs.
+splits the --all check across n panic-isolated workers.
 
 --proof-format drat switches the proof language to standard DRAT
 (drat-trim interchange: clause additions plus `d` deletions, text or
@@ -564,13 +559,6 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         Ok(n) => n,
         Err(msg) => return usage(msg),
     };
-    let engine = match take_option(&mut args, "--engine") {
-        Some(name) => match name.parse::<PropagatorChoice>() {
-            Ok(choice) => choice,
-            Err(e) => return usage(e),
-        },
-        None => PropagatorChoice::Watched,
-    };
     let budget = match take_budget(&mut args) {
         Ok(b) => b,
         Err(msg) => return usage(msg),
@@ -648,7 +636,6 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
             cnf_path,
             proof_path,
             budget,
-            engine,
             &config,
             resume,
             event_log.as_deref(),
@@ -656,7 +643,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     if drat {
-        return check_drat(cnf_path, proof_path, budget, engine, &emit, &obs_opts);
+        return check_drat(cnf_path, proof_path, budget, &emit, &obs_opts);
     }
     let malformed = |msg: String| {
         eprintln!("error: {msg}");
@@ -696,9 +683,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     };
     summary.resumed = resume_from.is_some();
     let outcome = match (&resume_from, parallel) {
-        (Some(cp), _) => match resume_verification_with_engine(
-            &formula, &proof, cp, &harness, engine,
-        ) {
+        (Some(cp), _) => match resume_verification(&formula, &proof, cp, &harness) {
             Ok(outcome) => outcome,
             // a checkpoint for different inputs is the caller's mistake
             // (wrong file paths), not corrupt data: usage, not malformed
@@ -712,13 +697,9 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         },
         (None, Some(threads)) => {
             let threads = usize::try_from(threads).unwrap_or(usize::MAX).max(1);
-            verify_all_parallel_harnessed_with_engine(
-                &formula, &proof, threads, &harness, engine,
-            )
+            verify_all_parallel_harnessed(&formula, &proof, threads, &harness)
         }
-        (None, None) => {
-            verify_harnessed_with_engine(&formula, &proof, mode, &harness, engine)
-        }
+        (None, None) => verify_harnessed(&formula, &proof, mode, &harness),
     };
     match outcome {
         Outcome::Verified(v) => {
@@ -790,7 +771,6 @@ fn check_drat(
     cnf_path: &str,
     proof_path: &str,
     budget: proofver::Budget,
-    engine: PropagatorChoice,
     emit: &EmitOptions,
     obs_opts: &ObsOptions,
 ) -> Result<ExitCode, String> {
@@ -816,7 +796,12 @@ fn check_drat(
     report.num_clauses = Some(formula.num_clauses());
     let mut summary = HarnessSummary::default();
     let harness = Harness::with_budget(budget);
-    match proofver::verify_drat_backward_harnessed(&formula, &proof, &harness, engine) {
+    match proofver::verify_drat_backward_harnessed(
+        &formula,
+        &proof,
+        &harness,
+        PropagatorChoice::Watched,
+    ) {
         proofver::DratOutcome::Verified(v) => {
             println!("s VERIFIED");
             println!(
@@ -907,12 +892,10 @@ fn check_drat(
 /// problem (corrupt JSON, fingerprint mismatch) is a usage error (2),
 /// any other environmental failure (proof I/O fault, parse error,
 /// changed file) is malformed input (3) — never a verdict.
-#[allow(clippy::too_many_arguments)]
 fn check_drat_stream(
     cnf_path: &str,
     proof_path: &str,
     budget: Budget,
-    engine: PropagatorChoice,
     config: &StreamConfig,
     resume: bool,
     event_log: Option<&str>,
@@ -971,7 +954,7 @@ fn check_drat_stream(
         Path::new(proof_path),
         &harness,
         config,
-        engine,
+        PropagatorChoice::Watched,
         resume_from.as_ref(),
         events.as_ref(),
     );

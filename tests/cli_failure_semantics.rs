@@ -241,6 +241,49 @@ fn mismatched_checkpoint_is_a_usage_error() {
 }
 
 #[test]
+fn streaming_checkpoint_is_named_when_resumed_natively() {
+    // interrupt a streaming run to produce a streaming checkpoint
+    let prefix = tmp("kind-chain");
+    let prefix = prefix.to_str().expect("utf8");
+    let out = run(&["gen", "stream-chain", "4000", "--out", prefix]);
+    assert!(out.status.success(), "{out:?}");
+    let ckpt = tmp("kind-state.ckpt");
+    let ckpt = ckpt.to_str().expect("utf8");
+    let out = run(&[
+        "check",
+        &format!("{prefix}.cnf"),
+        &format!("{prefix}.drat"),
+        "--proof-format",
+        "drat",
+        "--stream",
+        "--memory-budget",
+        "1",
+        "--checkpoint",
+        ckpt,
+        "--max-propagations",
+        "2000",
+    ]);
+    assert_eq!(out.status.code(), Some(4), "{out:?}");
+    // handing it to the native checker is malformed input that says
+    // which kind of checkpoint it got
+    let (cnf, proof) = php_with_proof("3", "kind");
+    let out = run(&[
+        "check",
+        cnf.to_str().expect("utf8"),
+        proof.to_str().expect("utf8"),
+        "--checkpoint",
+        ckpt,
+        "--resume",
+    ]);
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr)
+            .contains("not a native checkpoint (kind `proofver-stream-checkpoint`)"),
+        "{out:?}"
+    );
+}
+
+#[test]
 fn check_help_documents_the_exit_code_contract() {
     let out = run(&["check", "--help"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
